@@ -1,26 +1,25 @@
 """Benchmark E11 — distributed ingestion plane: shard workers & hierarchy.
 
 Measures, on the one-week trace (n = 2016, p = 121, 3 traffic types), the
-three ways this repo can spread one stream over processes:
+single-process baseline against the two ways this repo spreads one stream:
 
-* **type-parallel** (``mode="type"``) — one worker per traffic type over
-  the shared-memory chunk bus; parallelism saturates at 3;
-* **shard-parallel** (``mode="shard"``) — K workers each own a column
-  shard of *every* detector, the coordinator assembles the scatter through
-  the Chan merge algebra at calibration; parallelism follows K;
+* **shard-parallel** (:func:`~repro.streaming.parallel.parallel_stream_detect`)
+  — K workers each own a column shard of *every* detector over the
+  shared-memory chunk bus, and the coordinator assembles the scatter at
+  calibration; parallelism follows K;
 * **hierarchical** — per-PoP ingestion leaves folded into one global
   detector by merging models (single process here; the point is parity
   and the cost of the merge, not process scaling).
 
-All three must reproduce the single-process ``stream_detect`` event list
-exactly — parity is asserted unconditionally.  The speedup gates (shard
-mode beats the baseline by ≥ the floor, and beats type mode, i.e. scales
-past the 3-type ceiling) are enforced only on machines with at least
-``MIN_CORES_FOR_GATE`` cores; ``BENCH_DISTRIBUTED_MIN_SPEEDUP`` overrides
-the floor and ``BENCH_DISTRIBUTED_NO_GATE=1`` downgrades the gates to
-recorded-only numbers.  Like the sharded bench, the floor self-baselines
-from the committed ``BENCH_streaming.json`` once a gate-enforced
-measurement lands there.  Every run writes
+Both must reproduce the single-process ``stream_detect`` event list
+exactly — parity is asserted unconditionally.  The speedup gate (shard
+workers beat the baseline by ≥ the floor) is enforced only on machines
+with at least ``MIN_CORES_FOR_GATE`` cores;
+``BENCH_DISTRIBUTED_MIN_SPEEDUP`` overrides the floor and
+``BENCH_DISTRIBUTED_NO_GATE=1`` downgrades the gate to a recorded-only
+number.  The floor self-baselines from the committed
+``BENCH_streaming.json`` once a gate-enforced measurement lands there.
+Every run writes
 ``benchmarks/artifacts/bench_distributed.json`` for the perf trajectory.
 """
 
@@ -44,20 +43,20 @@ CHUNK_BINS = 32
 RECALIBRATE_BINS = 96
 #: Warmup bins before detection starts.
 WARMUP_BINS = 128
-#: Worker processes of both parallel modes (type mode caps at the 3 types).
+#: Shard worker processes.
 N_WORKERS = 4
 #: Per-PoP ingestion leaves of the hierarchical run.
 N_POPS = 2
 #: Fallback floor on the shard-parallel-vs-baseline speedup (self-baselines
 #: from BENCH_streaming.json once a gate-enforced measurement is committed).
 MIN_SHARD_SPEEDUP = 1.5
-#: The speedup gates need real parallelism; below this the numbers are
+#: The speedup gate needs real parallelism; below this the numbers are
 #: recorded but the assertions are skipped (parity is always enforced).
 MIN_CORES_FOR_GATE = 4
 
 
 def test_distributed_modes_speedup_and_parity(benchmark, week_dataset):
-    """Shard workers beat the 3-type ceiling; every mode is event-identical."""
+    """Shard workers beat one process; every mode is event-identical."""
     series = week_dataset.series
     config = StreamingConfig(min_train_bins=WARMUP_BINS,
                              recalibrate_every_bins=RECALIBRATE_BINS)
@@ -65,15 +64,9 @@ def test_distributed_modes_speedup_and_parity(benchmark, week_dataset):
     def run_single():
         return stream_detect(chunk_series(series, CHUNK_BINS), config)
 
-    def run_type_parallel():
-        return parallel_stream_detect(chunk_series(series, CHUNK_BINS),
-                                      config, mode="type",
-                                      n_workers=N_WORKERS)
-
     def run_shard_parallel():
         return parallel_stream_detect(chunk_series(series, CHUNK_BINS),
-                                      config, mode="shard",
-                                      n_workers=N_WORKERS)
+                                      config, n_workers=N_WORKERS)
 
     def run_hierarchy():
         detector = HierarchicalNetworkDetector(config, n_pops=N_POPS)
@@ -82,19 +75,16 @@ def test_distributed_modes_speedup_and_parity(benchmark, week_dataset):
         return detector.finish()
 
     single_time, baseline = best_of(2, run_single)
-    type_time, by_type = best_of(2, run_type_parallel)
     shard_time, by_shard = best_of(3, run_shard_parallel)
     hier_time, by_hier = best_of(2, run_hierarchy)
     run_once(benchmark, run_shard_parallel)
 
     parities = {
-        "type_parallel": event_parity(baseline.events, by_type.events),
         "shard_parallel": event_parity(baseline.events, by_shard.events),
         "hierarchical": event_parity(baseline.events, by_hier.events),
     }
     bins = series.n_bins
     shard_speedup = single_time / shard_time
-    shard_vs_type = type_time / shard_time
     cores = os.cpu_count() or 1
     min_speedup = float(os.environ.get(
         "BENCH_DISTRIBUTED_MIN_SPEEDUP",
@@ -113,11 +103,9 @@ def test_distributed_modes_speedup_and_parity(benchmark, week_dataset):
         "n_pops": N_POPS,
         "cpu_count": cores,
         "baseline_bins_per_sec": round(bins / single_time, 1),
-        "type_parallel_bins_per_sec": round(bins / type_time, 1),
         "shard_parallel_bins_per_sec": round(bins / shard_time, 1),
         "hierarchical_bins_per_sec": round(bins / hier_time, 1),
         "shard_speedup_vs_baseline": round(shard_speedup, 3),
-        "shard_speedup_vs_type_parallel": round(shard_vs_type, 3),
         "n_events": baseline.n_events,
         # Mismatching events are embedded in full (EventParityReport.to_dict)
         # so a failed parity gate is diagnosable from the artifact alone.
@@ -137,9 +125,9 @@ def test_distributed_modes_speedup_and_parity(benchmark, week_dataset):
     benchmark.extra_info.update(
         {k: v for k, v in record.items() if isinstance(v, (int, float))})
     print(f"\ndistributed modes over {bins} bins on {cores} core(s): "
-          f"single {single_time:.2f}s, type-parallel {type_time:.2f}s, "
+          f"single {single_time:.2f}s, "
           f"K={N_WORKERS} shard-parallel {shard_time:.2f}s "
-          f"({shard_speedup:.2f}x vs single, {shard_vs_type:.2f}x vs type), "
+          f"({shard_speedup:.2f}x vs single), "
           f"{N_POPS}-PoP hierarchy {hier_time:.2f}s; "
           f"BENCH artifact: {artifact}")
 
@@ -147,8 +135,7 @@ def test_distributed_modes_speedup_and_parity(benchmark, week_dataset):
     # strategy — never disabled by BENCH_DISTRIBUTED_NO_GATE.
     for name, parity in parities.items():
         assert parity.exact, (name, parity.to_dict())
-    for name, candidate in (("type_parallel", by_type),
-                            ("shard_parallel", by_shard),
+    for name, candidate in (("shard_parallel", by_shard),
                             ("hierarchical", by_hier)):
         full = report_parity(baseline, candidate)
         assert all(full["equal"].values()), (name, full["equal"])
@@ -157,14 +144,8 @@ def test_distributed_modes_speedup_and_parity(benchmark, week_dataset):
         assert shard_speedup >= min_speedup, (
             f"shard-parallel speedup {shard_speedup:.2f}x is below the "
             f"{min_speedup}x floor on a {cores}-core machine")
-        # The whole point of shard mode: with K > n_types workers it must
-        # beat the type-parallel driver's 3-type ceiling.
-        assert shard_vs_type > 1.0, (
-            f"shard-parallel ({bins / shard_time:,.0f} bins/s) did not beat "
-            f"type-parallel ({bins / type_time:,.0f} bins/s) with "
-            f"{N_WORKERS} workers on a {cores}-core machine")
     else:
-        print(f"speedup gates not enforced (cores={cores}, "
+        print(f"speedup gate not enforced (cores={cores}, "
               f"BENCH_DISTRIBUTED_NO_GATE="
               f"{os.environ.get('BENCH_DISTRIBUTED_NO_GATE', '')!r}); "
               f"parity still verified")

@@ -4,8 +4,8 @@ Two measurements, both about *detection quality* of the production
 streaming path rather than throughput:
 
 * **Live vs batch Table 1/3 analogues** (labeled Abilene week): the
-  single-pass streaming pipeline — all three engines: exact, sharded,
-  low-rank — replays the labeled week and its Table 1-analogue counts and
+  single-pass streaming pipeline — both engines: exact and low-rank —
+  replays the labeled week and its Table 1-analogue counts and
   Table 3-analogue metrics (detection rate, false-alarm rate, per-type
   recall) are compared against the batch reference over identical windows
   and matcher.  Gates (machine-independent, never disabled): each engine's
@@ -77,7 +77,7 @@ def _write_section(section, record):
 
 
 def test_live_table_analogues_vs_batch(benchmark, week_dataset):
-    """All three engines reproduce the batch Table 1/3 numbers live."""
+    """Both engines reproduce the batch Table 1/3 numbers live."""
     batch_time, batch = timed(batch_reference, week_dataset)
     config = _live_config()
 

@@ -51,8 +51,7 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 1. Worker killed mid-stream: supervised restart, event parity.
     # ------------------------------------------------------------------ #
-    config = StreamingConfig(min_train_bins=128, recalibrate_every_bins=32,
-                             parallel_mode="shard")
+    config = StreamingConfig(min_train_bins=128, recalibrate_every_bins=32)
     source = ChunkedSeriesSource(series, CHUNK)
     baseline = parallel_stream_detect(source, config, n_workers=2)
     print(f"undisturbed run:   {baseline.n_events} events")

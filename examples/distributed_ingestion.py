@@ -5,11 +5,10 @@ Builds on ``examples/streaming_checkpoint.py`` with the pieces that spread
 one live diagnosis over processes and sites:
 
 1. **shard-parallel workers** over the shared-memory chunk bus
-   (``parallel_stream_detect(mode="shard")``): each worker owns one column
-   shard of *every* per-type detector, so the speedup follows the worker
-   count instead of saturating at the 3 traffic types — with the identical
-   event list, and periodic checkpoints that restore as ordinary flat
-   detectors;
+   (``parallel_stream_detect``): each worker owns one column shard of
+   *every* per-type detector, so the speedup follows the worker count —
+   with the identical event list, and periodic checkpoints that restore
+   as ordinary flat detectors;
 2. an **asyncio feed** (``AsyncChunkSource``): an async producer pushes
    chunks with bounded backpressure and watermarks while the synchronous
    driver consumes them unchanged;
@@ -64,7 +63,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         checkpoint_dir = Path(tmp) / "shard-ckpt"
         sharded = parallel_stream_detect(
-            chunk_series(series, CHUNK), config, mode="shard", n_workers=4,
+            chunk_series(series, CHUNK), config, n_workers=4,
             checkpoint_dir=checkpoint_dir, checkpoint_every_chunks=4)
         resumed = StreamingNetworkDetector.restore(checkpoint_dir)
         print(f"K=4 shard workers:    {sharded.n_events} events, "

@@ -1,19 +1,16 @@
 #!/usr/bin/env python
-"""Sharded, parallel, and restartable streaming diagnosis.
+"""Restartable and parallel streaming diagnosis.
 
-Builds on ``examples/streaming_quickstart.py`` with the three scale-out
+Builds on ``examples/streaming_quickstart.py`` with the two scale-out
 pieces of the streaming subsystem:
 
-1. a **column-sharded** moment engine (``StreamingConfig(n_shards=K)``)
-   whose merged covariance — and therefore the emitted event list — is
-   identical to the single engine;
-2. a **checkpoint/restore** cycle: the detector is stopped mid-stream,
+1. a **checkpoint/restore** cycle: the detector is stopped mid-stream,
    persisted to an npz + JSON-manifest directory, restored, and fed the
-   remaining chunks as a suffix source — emitting the identical remaining
-   events;
-3. the **multi-process driver** with bounded (backpressure-aware) queues,
-   which parallelizes the three traffic types across workers without
-   changing a single event.
+   remaining chunks by resuming the source at the checkpoint's bin —
+   emitting the identical remaining events;
+2. the **multi-process driver** with bounded (backpressure-aware) queues:
+   each worker owns a column shard of the moments of every traffic type,
+   and the run emits the identical event list.
 
 Run with::
 
@@ -50,16 +47,7 @@ def main() -> None:
     print(f"baseline live run: {baseline.n_events} events")
 
     # ------------------------------------------------------------------ #
-    # 1. Column-sharded engine: identical events, K-way split moments.
-    # ------------------------------------------------------------------ #
-    sharded_config = StreamingConfig(min_train_bins=128,
-                                     recalibrate_every_bins=32, n_shards=4)
-    sharded = stream_detect(chunk_series(series, CHUNK), sharded_config)
-    print(f"K=4 sharded run:   {sharded.n_events} events, exact parity: "
-          f"{event_parity(baseline.events, sharded.events).exact}")
-
-    # ------------------------------------------------------------------ #
-    # 2. Checkpoint mid-stream, restore, resume from a suffix source.
+    # 1. Checkpoint mid-stream, restore, resume the source at its bin.
     # ------------------------------------------------------------------ #
     chunks = list(chunk_series(series, CHUNK))
     split = len(chunks) // 2
@@ -75,20 +63,18 @@ def main() -> None:
         print(f"checkpoint after {split * CHUNK} bins: {kinds}")
 
         restored = StreamingNetworkDetector.restore(checkpoint_dir)
-        resume_bin = split * CHUNK
-        suffix = series.window(resume_bin, series.n_bins)
-        for chunk in ChunkedSeriesSource(suffix, CHUNK, start_bin=resume_bin):
+        resume_bin = restored.report.n_bins_processed
+        for chunk in ChunkedSeriesSource(series, CHUNK).resume(resume_bin):
             restored.process_chunk(chunk)
         report = restored.finish()
     print(f"restored run:      {report.n_events} events, exact parity: "
           f"{event_parity(baseline.events, report.events).exact}")
 
     # ------------------------------------------------------------------ #
-    # 3. Multi-process driver: one worker per traffic type, bounded queues.
+    # 2. Multi-process driver: one column shard per worker, bounded queues.
     # ------------------------------------------------------------------ #
     parallel = parallel_stream_detect(chunk_series(series, CHUNK),
-                                      sharded_config, n_workers=3,
-                                      queue_depth=4)
+                                      config, n_workers=3, queue_depth=4)
     print(f"parallel run:      {parallel.n_events} events, exact parity: "
           f"{event_parity(baseline.events, parallel.events).exact}")
 

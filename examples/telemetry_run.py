@@ -74,7 +74,7 @@ def main() -> None:
         # ---------------------------------------------------------- #
         report = parallel_stream_detect(
             chunk_series(series, CHUNK), config,
-            n_workers=N_WORKERS, mode="shard")
+            n_workers=N_WORKERS)
         parity = event_parity(plain.events, report.events)
         print(f"monitored shard run: {report.n_events} events, "
               f"{report.bins_per_second:,.0f} bins/sec, "

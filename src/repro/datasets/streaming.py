@@ -16,7 +16,6 @@ point, now a thin wrapper over the source.
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterator, Optional
 
 import numpy as np
@@ -155,27 +154,17 @@ def synthetic_chunk_stream(
     seed: int = 0,
     network: Optional[Network] = None,
     max_blocks: Optional[int] = None,
-    start_block: int = 0,
 ) -> Iterator[TrafficChunk]:
     """Yield an (optionally unbounded) stream of synthetic traffic chunks.
 
     Generator-shaped wrapper over :class:`SyntheticChunkSource` (which
-    new code should prefer: it is re-iterable and resumable at any bin,
-    not just block boundaries).  *start_block* is deprecated — call
-    ``SyntheticChunkSource(...).resume(start_block * block_bins)``.
+    new code should prefer: it is re-iterable and resumable at any bin
+    via ``resume(start_bin)``).
     """
-    source = SyntheticChunkSource(
+    return iter(SyntheticChunkSource(
         chunk_size=chunk_size,
         block_config=block_config,
         seed=seed,
         network=network,
         max_blocks=max_blocks,
-    )
-    require(start_block >= 0, "start_block must be non-negative")
-    if start_block:
-        warnings.warn(
-            "synthetic_chunk_stream(start_block=...) is deprecated; use "
-            "SyntheticChunkSource(...).resume(start_block * block_bins)",
-            DeprecationWarning, stacklevel=2)
-        source = source.resume(start_block * source.block_bins)
-    return iter(source)
+    ))

@@ -39,29 +39,23 @@ __all__ = ["LIVE_ENGINES", "LiveWindowResult", "LiveEvaluationResult",
            "BatchReference", "engine_config", "run_live_evaluation",
            "run_live_engine_suite", "batch_reference"]
 
-#: The three streaming engines the live harness evaluates side by side.
-LIVE_ENGINES: Tuple[str, ...] = ("exact", "sharded", "lowrank")
+#: The streaming engines the live harness evaluates side by side.
+LIVE_ENGINES: Tuple[str, ...] = ("exact", "lowrank")
 
 #: Default chunk size (bins) of the simulated live feed.
 DEFAULT_CHUNK_BINS = 32
 
 
-def engine_config(base: StreamingConfig, engine: str,
-                  n_shards: int = 4) -> StreamingConfig:
+def engine_config(base: StreamingConfig, engine: str) -> StreamingConfig:
     """*base* specialized to one of the :data:`LIVE_ENGINES`.
 
-    ``"exact"`` is the single full-scatter engine, ``"sharded"`` partitions
-    the columns across *n_shards* exact shards, ``"lowrank"`` tracks only
-    the top eigenpairs — all three share every other knob of *base* so the
+    ``"exact"`` is the full-scatter engine, ``"lowrank"`` tracks only the
+    top eigenpairs — both share every other knob of *base* so the
     comparison isolates the engine.
     """
     require(engine in LIVE_ENGINES,
             f"engine must be one of {LIVE_ENGINES}, got {engine!r}")
-    if engine == "exact":
-        return replace(base, engine="exact", n_shards=1)
-    if engine == "sharded":
-        return replace(base, engine="exact", n_shards=n_shards)
-    return replace(base, engine="lowrank", n_shards=1)
+    return replace(base, engine=engine)
 
 
 @dataclass
@@ -190,7 +184,7 @@ def run_live_evaluation(
     engine:
         One of :data:`LIVE_ENGINES`, applied to *config* via
         :func:`engine_config`; ``None`` uses *config* verbatim (its
-        ``engine``/``n_shards`` fields then name the engine).
+        ``engine`` field then names the engine).
     week_by_week:
         Window the dataset into paper-style weeks (the default), or replay
         it as a single window.
@@ -198,8 +192,7 @@ def run_live_evaluation(
     require(len(dataset.ground_truth) > 0, "dataset has no injected anomalies")
     if engine is not None:
         config = engine_config(config, engine)
-    engine_name = engine if engine is not None else (
-        "sharded" if config.n_shards > 1 else config.engine)
+    engine_name = engine if engine is not None else config.engine
 
     counts = {label: 0 for label in COMBINATION_LABELS}
     windows: List[LiveWindowResult] = []

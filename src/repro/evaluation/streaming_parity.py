@@ -102,7 +102,7 @@ def report_parity(reference, candidate) -> Dict[str, object]:
     Compares any two objects with the
     :class:`~repro.streaming.pipeline.StreamingReport` shape: the fused
     event lists (via :func:`event_parity`), the raw per-type detection
-    lists, and the bin/chunk counters.  A sharded, parallel, or
+    lists, and the bin/chunk counters.  A shard-parallel or
     checkpoint-restored run passes iff every entry under ``"equal"`` is
     true.
     """

@@ -15,11 +15,11 @@ That is what makes the ingest path's matrices **byte-identical** to the
 direct aggregation path, not merely close.
 
 Emission is watermark-driven: a bin is sealed once the high-water bin has
-advanced ``lateness_bins`` past it, chunks come out gapless and in order
-(bins nothing was recorded for are explicit zero rows), and records behind
-the emission floor are counted late and dropped — the same discipline
-``OnlineEventAggregator`` applies on the detection side, so the two
-watermarks compose.
+advanced more than ``lateness_bins`` past it, chunks come out gapless and
+in order (bins nothing was recorded for are explicit zero rows), and
+records behind the emission floor are counted late and dropped — the same
+discipline ``OnlineEventAggregator`` applies on the detection side, so the
+two watermarks compose.
 """
 
 from __future__ import annotations
@@ -76,8 +76,11 @@ class FlowRecordBinner:
         Total bins of the stream when known; ``None`` leaves the end open
         (:meth:`finish` then closes at the high-water bin).
     lateness_bins:
-        How many bins the high-water mark must advance past a bin before
-        it is sealed — the tolerance for out-of-order records.
+        Tolerance for out-of-order records, in bins: a bin is sealed once
+        the high-water bin is more than ``lateness_bins`` past it.  The
+        high-water bin itself never seals while the stream is open — its
+        remaining records may still be in the next batch — so ``0`` suits
+        time-ordered exports.
     start_bin:
         Resume point: bins below it are neither buffered nor emitted
         (their records count as ``skipped``), and the first chunk starts
@@ -351,7 +354,7 @@ class FlowRecordBinner:
     # ------------------------------------------------------------------ #
     def _sealed_end(self) -> int:
         """Exclusive end of the bins allowed to leave the buffer."""
-        return max(self._emit_floor, self._high_bin + 1 - self._lateness_bins)
+        return max(self._emit_floor, self._high_bin - self._lateness_bins)
 
     def _emit_range(self, start: int, stop: int) -> TrafficChunk:
         # Gapless by construction: window rows no record touched are the

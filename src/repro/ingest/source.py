@@ -47,7 +47,8 @@ class IngestConfig:
         ``None`` leaves the end open — it is determined by the data.
     lateness_bins:
         Watermark slack for out-of-order records: a bin seals only once
-        the high-water bin is this far past it.
+        the high-water bin is more than this many bins past it (``0``: as
+        soon as a record of any later bin arrived).
     batch_rows:
         CSV rows per vectorized parse batch.
     on_bad_row:

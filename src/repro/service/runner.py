@@ -36,9 +36,8 @@ import signal
 import sys
 import threading
 import time
-import warnings
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.events import AnomalyEvent
 from repro.flows.timeseries import TrafficType
@@ -51,8 +50,7 @@ from repro.streaming.checkpoint import (has_checkpoint, load_checkpoint,
 from repro.streaming.config import StreamingConfig
 from repro.streaming.pipeline import (StreamingNetworkDetector,
                                       StreamingReport)
-from repro.streaming.sources import (IterableChunkSource, TrafficChunk,
-                                     as_chunk_source)
+from repro.streaming.sources import IterableChunkSource, as_chunk_source
 from repro.telemetry import MetricsRegistry
 from repro.utils.validation import require
 
@@ -238,8 +236,7 @@ class DetectionService:
         if self._checkpoint_dir is not None:
             save_checkpoint(self._detector, self._checkpoint_dir)
 
-    def run(self, source=None,
-            chunks: Optional[Iterable[TrafficChunk]] = None) -> ServiceResult:
+    def run(self, source) -> ServiceResult:
         """Consume *source* until exhaustion or a stop signal.
 
         *source* is anything :func:`~repro.streaming.sources.as_chunk_source`
@@ -248,22 +245,13 @@ class DetectionService:
         automatically at :attr:`resume_bin` via ``source.resume(...)``, so
         callers hand the service the **full** stream; a plain iterable must
         already be the correctly aligned suffix (the pre-protocol contract —
-        the alignment check below still enforces it).  The ``chunks=``
-        keyword is a deprecated alias for *source*.
+        the alignment check below still enforces it).
 
         Graceful-shutdown sequence on a stop: finish the in-flight chunk,
         write a checkpoint, flush the store and the sinks, return.  On a
         clean end of stream the aggregator tail is flushed through the
         same persistence path, then the final checkpoint is written.
         """
-        if chunks is not None:
-            require(source is None, "pass either source= or chunks=, not both")
-            warnings.warn(
-                "the chunks= keyword is deprecated; pass the stream as "
-                "source= (any ChunkSource or iterable of chunks)",
-                DeprecationWarning, stacklevel=2)
-            source = chunks
-        require(source is not None, "source is required")
         source = as_chunk_source(source)
         self._events_stored = 0
         self._events_duplicate = 0

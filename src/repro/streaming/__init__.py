@@ -23,16 +23,17 @@ detects in one shot; this package turns that into an online system:
    two-pass :func:`~repro.streaming.pipeline.replay_network_anomalies`
    harness whose events match the batch pipeline exactly;
 6. :mod:`repro.streaming.sharding` partitions the OD-flow columns of the
-   moment engine across shards and provides the exact Chan parallel-moments
-   merge, so per-shard state combines into the identical covariance;
+   moment engine across worker shards and provides the exact Chan
+   parallel-moments merge, so per-shard state combines into the identical
+   covariance;
 7. :mod:`repro.streaming.checkpoint` persists the full detector state
    (npz + JSON manifest) so a restarted detector resumes mid-stream with
    the identical remaining event list;
 8. :mod:`repro.streaming.parallel` drives detection in worker processes
    over the zero-copy shared-memory chunk bus (:mod:`repro.streaming.bus`)
-   — type-parallel or shard-parallel (one column shard of every detector
-   per worker, so speedup follows the worker count) — with an unchanged
-   event list and backpressure at both the queue and the ring;
+   — one column shard of every detector per worker, so speedup follows
+   the worker count — with an unchanged event list and backpressure at
+   both the queue and the ring;
 9. :mod:`repro.streaming.low_rank` maintains only the top-``r`` eigenpairs
    via Brand-style rank-``m`` secular updates (``StreamingConfig(engine=
    "lowrank")``), killing the ``O(p³)`` eigh on the recalibration hot path
@@ -67,7 +68,6 @@ from repro.streaming.low_rank import (
     merge_low_rank,
 )
 from repro.streaming.sharding import (
-    ShardedOnlinePCA,
     ShardWorkerMoments,
     merge_online_pca,
     partition_columns,
@@ -84,7 +84,6 @@ from repro.streaming.sources import (
     AsyncChunkSource,
     ChunkSource,
     ChunkedSeriesSource,
-    FactoryChunkSource,
     IterableChunkSource,
     TrafficChunk,
     as_chunk_source,
@@ -115,7 +114,6 @@ __all__ = [
     "LowRankEigenTracker",
     "compress_engine",
     "merge_low_rank",
-    "ShardedOnlinePCA",
     "ShardWorkerMoments",
     "merge_online_pca",
     "partition_columns",
@@ -133,7 +131,6 @@ __all__ = [
     "TrafficChunk",
     "ChunkSource",
     "IterableChunkSource",
-    "FactoryChunkSource",
     "as_chunk_source",
     "ChunkedSeriesSource",
     "AsyncChunkSource",

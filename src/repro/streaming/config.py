@@ -10,6 +10,10 @@ from repro.utils.validation import ensure_probability, require
 
 __all__ = ["StreamingConfig", "forgetting_from_half_life"]
 
+#: Fields older checkpoint manifests carry that the config no longer has:
+#: the single-process column-shard count and the type-parallel mode switch.
+RETIRED_FIELDS = ("n_shards", "parallel_mode")
+
 
 def forgetting_from_half_life(half_life_bins: float) -> float:
     """The per-bin forgetting factor ``λ`` giving the requested half-life.
@@ -53,12 +57,6 @@ class StreamingConfig:
     identify:
         Whether to run per-bin OD-flow identification at all (disable for
         pure detection throughput, e.g. in benchmarks).
-    n_shards:
-        Number of column shards of the moment engine.  ``1`` (the default)
-        uses the single :class:`~repro.streaming.online_pca.OnlinePCA`;
-        larger values partition the ``p`` OD-flow columns across a
-        :class:`~repro.streaming.sharding.ShardedOnlinePCA` whose merged
-        covariance matches the single engine up to float accumulation order.
     engine:
         Moment-engine family.  ``"exact"`` (the default) maintains the full
         ``p x p`` scatter and recalibrates through an ``O(p³)``
@@ -99,19 +97,13 @@ class StreamingConfig:
         effective limit: statistic values above it are treated as
         anomalies and excluded from the quantile; values below it are
         treated as drift and tracked.
-    parallel_mode:
-        How :func:`~repro.streaming.parallel.parallel_stream_detect`
-        distributes work.  ``"type"`` (the default) runs one detector per
-        traffic type per worker — simple, but speedup saturates at the
-        number of traffic types; ``"shard"`` gives every worker one column
-        shard of **every** detector over a shared-memory chunk bus, so
-        speedup follows the worker count instead.
     bus_slots:
-        Ring length of the shared-memory chunk bus (shard mode): how many
+        Ring length of the shared-memory chunk bus of
+        :func:`~repro.streaming.parallel.parallel_stream_detect`: how many
         chunks may be in flight before the writer blocks on the readers —
         the bus-side backpressure window, in chunks.
     poll_seconds:
-        Liveness-poll cadence of the multi-process drivers: the longest a
+        Liveness-poll cadence of the multi-process driver: the longest a
         blocked feed/drain waits before re-checking worker health.  Worker
         *death* wakes the driver immediately through its process sentinel
         regardless of this value (see :mod:`repro.streaming.parallel`).
@@ -167,7 +159,6 @@ class StreamingConfig:
     recalibrate_every_bins: int = 1
     max_identified_flows: int = 16
     identify: bool = True
-    n_shards: int = 1
     engine: str = "exact"
     rank_slack: int = 8
     drift_tolerance: float = 1e-10
@@ -178,7 +169,6 @@ class StreamingConfig:
     adaptive_block_bins: int = 32
     adaptive_freeze_factor: float = 4.0
     on_bad_chunk: str = "raise"
-    parallel_mode: str = "type"
     bus_slots: int = 8
     poll_seconds: float = 1.0
     n_pops: int = 1
@@ -199,7 +189,6 @@ class StreamingConfig:
                 "recalibrate_every_bins must be >= 1")
         require(self.max_identified_flows >= 1,
                 "max_identified_flows must be >= 1")
-        require(self.n_shards >= 1, "n_shards must be >= 1")
         require(self.engine in ("exact", "lowrank"),
                 "engine must be 'exact' or 'lowrank'")
         require(self.rank_slack >= 1, "rank_slack must be >= 1 "
@@ -220,8 +209,6 @@ class StreamingConfig:
                 "adaptive_freeze_factor must be > 1")
         require(self.on_bad_chunk in ("raise", "quarantine"),
                 "on_bad_chunk must be 'raise' or 'quarantine'")
-        require(self.parallel_mode in ("type", "shard"),
-                "parallel_mode must be 'type' or 'shard'")
         require(self.bus_slots >= 2, "bus_slots must be >= 2")
         require(self.poll_seconds > 0.0, "poll_seconds must be positive")
         require(self.n_pops >= 1, "n_pops must be >= 1")
@@ -229,11 +216,6 @@ class StreamingConfig:
                 "telemetry_sample_rate must be in [0, 1]")
         require(self.telemetry_snapshot_every_chunks >= 1,
                 "telemetry_snapshot_every_chunks must be >= 1")
-        require(not (self.engine == "lowrank" and self.n_shards > 1),
-                "column sharding shards the exact scatter matrix and cannot "
-                "be combined with the low-rank engine; ingest sharded and "
-                "compress via repro.streaming.low_rank.compress_engine "
-                "instead")
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form (used by streaming checkpoints)."""
@@ -243,5 +225,12 @@ class StreamingConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "StreamingConfig":
-        """Inverse of :meth:`to_dict` (enum round-trips via its value)."""
-        return cls(**dict(data))
+        """Inverse of :meth:`to_dict` (enum round-trips via its value).
+
+        Fields this class no longer has (:data:`RETIRED_FIELDS`) are
+        dropped, so checkpoints written by earlier versions still restore.
+        """
+        data = dict(data)
+        for name in RETIRED_FIELDS:
+            data.pop(name, None)
+        return cls(**data)

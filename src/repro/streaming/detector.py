@@ -44,16 +44,12 @@ __all__ = ["SubspaceSnapshot", "StreamDetection", "ChunkDetections",
 
 
 def make_engine(config: StreamingConfig):
-    """The moment engine a config asks for: exact, sharded, or low-rank."""
+    """The moment engine a config asks for: exact or low-rank."""
     if config.engine == "lowrank":
         from repro.streaming.low_rank import LowRankEigenTracker
         return LowRankEigenTracker(rank=config.n_normal + config.rank_slack,
                                    forgetting=config.forgetting,
                                    drift_tolerance=config.drift_tolerance)
-    if config.n_shards > 1:
-        from repro.streaming.sharding import ShardedOnlinePCA
-        return ShardedOnlinePCA(n_shards=config.n_shards,
-                                forgetting=config.forgetting)
     return OnlinePCA(forgetting=config.forgetting)
 
 
@@ -264,10 +260,10 @@ class StreamingSubspaceDetector:
     def engine(self):
         """The underlying running-moments engine.
 
-        An :class:`OnlinePCA` by default, or a
-        :class:`~repro.streaming.sharding.ShardedOnlinePCA` when the config
-        (or an explicit ``engine=`` argument) asks for column sharding —
-        both expose the same accessor/serialization surface.
+        The engine :func:`make_engine` builds from the config (an
+        :class:`OnlinePCA` or a low-rank tracker) unless an explicit
+        ``engine=`` argument supplied another — all expose the same
+        accessor/serialization surface.
         """
         return self._engine
 
@@ -572,9 +568,7 @@ class StreamingSubspaceDetector:
                    arrays: Mapping[str, np.ndarray]) -> "StreamingSubspaceDetector":
         """Rebuild a detector that resumes the stream mid-flight."""
         from repro.streaming.low_rank import LowRankEigenTracker
-        from repro.streaming.sharding import ShardedOnlinePCA
         engine_kinds = {OnlinePCA.STATE_KIND: OnlinePCA,
-                        ShardedOnlinePCA.STATE_KIND: ShardedOnlinePCA,
                         LowRankEigenTracker.STATE_KIND: LowRankEigenTracker}
         engine_meta = meta["engine"]
         try:

@@ -52,7 +52,7 @@ from repro.streaming.pipeline import (
     _dedup_types,
     _fuse_chunk_results,
 )
-from repro.streaming.sharding import ShardedOnlinePCA, merge_online_pca
+from repro.streaming.sharding import merge_online_pca
 from repro.streaming.sources import TrafficChunk
 from repro.telemetry import Telemetry
 from repro.utils.validation import require
@@ -69,8 +69,7 @@ class _MergedEngine:
     ``eigenbasis`` / ``covariance`` / ``state_dict``) by delegating to a
     cached :func:`~repro.streaming.sharding.merge_online_pca` fold of the
     per-leaf engines, rebuilt only when a leaf ingested new data (keyed on
-    the leaves' moment versions).  Column-sharded leaves are assembled
-    (``.merged()``) before folding.  It never ingests: feeding data is the
+    the leaves' moment versions).  It never ingests: feeding data is the
     leaves' job.
     """
 
@@ -105,12 +104,11 @@ class _MergedEngine:
         engines = self._leaf_engines()
         key = tuple((index, engine._version) for index, engine in engines)
         if self._cached is None or key != self._cache_key:
-            flat = [engine.merged() if isinstance(engine, ShardedOnlinePCA)
-                    else engine for _, engine in engines]
-            if not flat:
+            if not engines:
                 self._cached = OnlinePCA(forgetting=self._forgetting)
             else:
-                self._cached = reduce(merge_online_pca, flat)
+                self._cached = reduce(merge_online_pca,
+                                      [engine for _, engine in engines])
             self._cache_key = key
         return self._cached
 

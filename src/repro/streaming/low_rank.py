@@ -35,8 +35,8 @@ Interop: :func:`merge_low_rank` combines two trackers over disjoint
 consecutive stream segments through the same machinery — the later
 tracker's factored basis is one more rank-``r`` update, a small
 ``(2r+1)``-sized core problem — and :func:`compress_engine` converts an
-exact :class:`OnlinePCA` / :class:`~repro.streaming.sharding.ShardedOnlinePCA`
-(e.g. after a sharded ingest + exact Chan merge) into a tracker, so the
+exact :class:`OnlinePCA` (e.g. after a shard-parallel ingest or an exact
+Chan merge) into a tracker, so the
 heavy history can be ingested exactly in parallel and then tracked cheaply.
 """
 
@@ -389,11 +389,10 @@ def compress_engine(engine, rank: int,
                     drift_tolerance: float = 1e-10) -> LowRankEigenTracker:
     """Compress any moment engine into a :class:`LowRankEigenTracker`.
 
-    Accepts an :class:`OnlinePCA`, a
-    :class:`~repro.streaming.sharding.ShardedOnlinePCA` (whose merged
-    eigenbasis is taken — the sharding interop path: ingest the heavy
-    history exactly in parallel, merge, then track cheaply), or another
-    tracker (re-compression to a smaller rank).  The top-``rank``
+    Accepts an :class:`OnlinePCA` (the interop path: ingest the heavy
+    history exactly in parallel, merge, then track cheaply), any engine
+    with the same accessor surface, or another tracker (re-compression to
+    a smaller rank).  The top-``rank``
     eigenpairs are kept and everything else becomes residual energy, so
     the compressed trace equals the source trace exactly.
     """

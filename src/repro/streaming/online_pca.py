@@ -20,8 +20,8 @@ Cost per ingested chunk of ``m`` bins is ``O(m p²)`` (one rank-``m`` scatter
 update) with ``O(p²)`` memory, independent of the stream length ``n``.
 
 The weighting/decay bookkeeping lives once in the :class:`_MomentTracker`
-base shared with the column-sharded engine
-(:class:`~repro.streaming.sharding.ShardedOnlinePCA`); only the scatter
+base shared with the column-shard workers
+(:class:`~repro.streaming.sharding.ShardWorkerMoments`); only the scatter
 update itself differs between the two, which is what keeps their
 arithmetic — and therefore their emitted events — identical.
 """
@@ -43,8 +43,7 @@ def eigh_descending(covariance: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     Symmetrizes first so tiny floating-point asymmetries (e.g. from an
     assembled sharded scatter) cannot perturb the solver, clips negative
     round-off eigenvalues to zero, and returns read-only arrays — the shared
-    eigenbasis step of :class:`OnlinePCA` and
-    :class:`~repro.streaming.sharding.ShardedOnlinePCA`.
+    eigenbasis step of every exact moment engine.
     """
     symmetric = (covariance + covariance.T) * 0.5
     eigenvalues, axes = np.linalg.eigh(symmetric)

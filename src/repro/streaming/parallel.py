@@ -1,26 +1,19 @@
-"""Multi-process streaming drivers over the shared-memory chunk bus.
+"""The multi-process streaming driver over the shared-memory chunk bus.
 
 :func:`parallel_stream_detect` scales
-:func:`~repro.streaming.pipeline.stream_detect` past one core.  Both modes
-move chunk payloads through the zero-copy
+:func:`~repro.streaming.pipeline.stream_detect` past one core by
+**column sharding**: each worker process owns one column shard
+(:func:`~repro.streaming.sharding.partition_columns`) of *every* per-type
+detector and maintains its ``|cols| x p`` scatter row block
+(:class:`~repro.streaming.sharding.ShardWorkerMoments`); the coordinator
+keeps the cheap ``O(m p)`` scalar moments plus detection/fusion, and
+assembles the worker blocks into the full scatter only at calibration time
+(a collect barrier).  The heavy ``O(m p²)`` scatter GEMM — the throughput
+cap — is split ``1/K`` across the ``K`` workers.  Chunk payloads move through the zero-copy
 :class:`~repro.streaming.bus.ChunkBusWriter` ring (one serialize per chunk,
-``K`` read-only views) instead of pickling matrices into every worker
-queue, and both are bound by the same rule: **they may only change
-wall-clock time, never an event**.
-
-* ``mode="type"`` — each worker owns one or more traffic types; a type's
-  detector lives in one process for its whole life, and the main process
-  fuses per-type results strictly in chunk order.  Simple, but the speedup
-  saturates at the number of traffic types (3 for the paper's pipeline).
-* ``mode="shard"`` — each worker owns one **column shard**
-  (:func:`~repro.streaming.sharding.partition_columns`) of *every*
-  per-type detector and maintains its ``|cols| x p`` scatter row block
-  (:class:`~repro.streaming.sharding.ShardWorkerMoments`); the coordinator
-  keeps the cheap ``O(m p)`` scalar moments plus detection/fusion, and
-  assembles the worker blocks into the full scatter only at calibration
-  time (a collect barrier).  The heavy ``O(m p²)`` scatter GEMM — the
-  throughput cap — is split ``1/K``, so speedup follows the worker count
-  instead of the traffic-type count.
+``K`` read-only views) instead of being pickled into every worker queue,
+and the driver is bound by one rule: **it may only change wall-clock time,
+never an event**.
 
 Backpressure exists at two layers: every worker input queue is bounded
 (``queue_depth`` control messages) and the bus ring itself blocks the
@@ -33,10 +26,9 @@ wakes the driver immediately; ``poll_seconds`` (a
 :class:`~repro.streaming.config.StreamingConfig` knob) only caps how long
 a fully idle wait sleeps between health re-checks.
 
-Per-type/per-shard arithmetic is deterministic and workers do not
-interact, so the only parallelism-visible effect is wall-clock time —
-enforced by ``tests/test_streaming_parallel.py`` against the
-single-process event list.
+Per-shard arithmetic is deterministic and workers do not interact, so the
+only parallelism-visible effect is wall-clock time — enforced by
+``tests/test_streaming_parallel.py`` against the single-process event list.
 """
 
 from __future__ import annotations
@@ -49,32 +41,22 @@ import queue as queue_module
 import random
 import time
 import traceback
-import warnings
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
-    Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.flows.timeseries import TrafficType
-from repro.streaming.aggregator import OnlineEventAggregator
 from repro.streaming.bus import ChunkBusReader, ChunkBusWriter, chunk_slot_bytes
 from repro.streaming.config import StreamingConfig
-from repro.streaming.detector import ChunkDetections, StreamingSubspaceDetector
 from repro.streaming.online_pca import OnlinePCA, _MomentTracker
 from repro.streaming.pipeline import (
     StreamingNetworkDetector,
     StreamingReport,
-    _coalesce_source,
     _dedup_types,
-    _fuse_chunk_results,
 )
 from repro.streaming.sharding import ShardWorkerMoments, partition_columns
-from repro.streaming.sources import (
-    FactoryChunkSource,
-    TrafficChunk,
-    as_chunk_source,
-)
+from repro.streaming.sources import TrafficChunk, as_chunk_source
 from repro.telemetry import MetricsRegistry, Telemetry
 from repro.utils.validation import require
 
@@ -87,28 +69,10 @@ _ERROR = "__error__"
 #: First element of a result tuple carrying a worker's metrics registry
 #: (shipped once per worker, after it saw ``_STOP``).
 _TELEMETRY = "__telemetry__"
-#: Message kinds of the shard-mode control protocol.
+#: Message kinds of the worker control protocol.
 _MSG_CHUNK = "chunk"
 _MSG_COLLECT = "collect"
 _BLOCKS = "__blocks__"
-#: Default seconds an idle wait sleeps before re-checking worker liveness
-#: (overridable via ``StreamingConfig.poll_seconds`` / ``poll_seconds=``;
-#: worker death wakes every wait immediately through its sentinel).
-_POLL_SECONDS = 1.0
-
-
-class _ChunkSpan:
-    """The fusion-relevant footprint of one chunk (start/extent only)."""
-
-    __slots__ = ("start_bin", "n_bins")
-
-    def __init__(self, start_bin: int, n_bins: int) -> None:
-        self.start_bin = start_bin
-        self.n_bins = n_bins
-
-    @property
-    def end_bin(self) -> int:
-        return self.start_bin + self.n_bins
 
 
 def _restricted_chunk(chunk: TrafficChunk,
@@ -121,74 +85,13 @@ def _restricted_chunk(chunk: TrafficChunk,
 
 
 # --------------------------------------------------------------------- #
-# worker loops
+# worker loop
 # --------------------------------------------------------------------- #
 def _worker_error_text(label: str, detail: str, last_chunk) -> str:
     """The context header + traceback forwarded by a failed worker."""
     last = "none" if last_chunk is None else str(last_chunk)
     return (f"worker {label} ({detail}; last-processed chunk {last}):\n"
             + traceback.format_exc())
-
-
-def _type_worker(worker_index: int, config: StreamingConfig,
-                 own_types: Sequence[str], bus_handle, in_queue,
-                 out_queue) -> None:
-    """Process the traffic types routed to this worker, off the bus."""
-    label = f"type-{worker_index}"
-    reader = ChunkBusReader(bus_handle)
-    detectors: Dict[str, StreamingSubspaceDetector] = {}
-    telemetry = Telemetry.from_config(config, worker=label)
-    last_chunk = None
-    try:
-        while True:
-            item = in_queue.get()
-            if item is _STOP:
-                if telemetry is not None:
-                    telemetry.close()
-                    out_queue.put((_TELEMETRY, label,
-                                   telemetry.registry.to_dict()))
-                return
-            chunk_index, descriptor = item
-            if telemetry is not None:
-                telemetry.begin_chunk(chunk_index)
-            views = reader.map(descriptor)
-            try:
-                for type_value in own_types:
-                    detector = detectors.get(type_value)
-                    if detector is None:
-                        detector = StreamingSubspaceDetector(config)
-                        if telemetry is not None:
-                            detector.bind_telemetry(telemetry,
-                                                    {"type": type_value})
-                        detectors[type_value] = detector
-                    result = detector.process_chunk(views[type_value],
-                                                    descriptor.start_bin)
-                    out_queue.put((chunk_index, type_value, result))
-            finally:
-                # Views alias the shared slot: drop them before releasing so
-                # reader.close() never sees exported buffers.
-                views = None
-            reader.release(descriptor)
-            if telemetry is not None:
-                telemetry.registry.counter(
-                    "worker_chunks", {"worker": label},
-                    help="Chunks processed per worker").inc()
-                telemetry.end_chunk()
-            last_chunk = chunk_index
-    except BaseException:  # noqa: BLE001 - forwarded verbatim to the driver
-        out_queue.put((_ERROR, _worker_error_text(
-            label, "types " + ",".join(own_types), last_chunk)))
-        # Keep draining so the feeder's bounded put never blocks forever on
-        # a full queue; the driver raises once it sees the _ERROR message
-        # (an errored worker stops releasing bus slots, so a writer blocked
-        # on the ring is woken by its alive_check seeing the error).
-        while in_queue.get() is not _STOP:
-            pass
-    finally:
-        try:
-            reader.close()
-        except BufferError:  # pragma: no cover - a live view on error paths
-            pass
 
 
 def _shard_worker(shard_index: int, n_shards: int, config: StreamingConfig,
@@ -259,6 +162,10 @@ def _shard_worker(shard_index: int, n_shards: int, config: StreamingConfig,
     except BaseException:  # noqa: BLE001 - forwarded verbatim to the driver
         out_queue.put((_ERROR, _worker_error_text(
             label, f"shard {shard_index}/{n_shards}", last_chunk)))
+        # Keep draining so the feeder's bounded put never blocks forever on
+        # a full queue; the driver raises once it sees the _ERROR message
+        # (an errored worker stops releasing bus slots, so a writer blocked
+        # on the ring is woken by its alive_check seeing the error).
         while in_queue.get() is not _STOP:
             pass
     finally:
@@ -269,38 +176,45 @@ def _shard_worker(shard_index: int, n_shards: int, config: StreamingConfig,
 
 
 # --------------------------------------------------------------------- #
-# worker pools
+# worker pool
 # --------------------------------------------------------------------- #
-class _PoolBase:
-    """Processes + bounded control queues + the shared chunk bus.
+class _ShardWorkerPool:
+    """Shard worker processes + bounded control queues + the chunk bus.
 
-    Owns the liveness/wakeup machinery both drivers share: every blocking
-    wait (queue put, result receive, bus-slot wait) is woken immediately by
-    a dying worker's process sentinel instead of sleeping out a fixed poll
+    One worker per column shard of every detector.  The pool owns the
+    liveness/wakeup machinery of the driver: every blocking wait (queue
+    put, result receive, bus-slot wait) is woken immediately by a dying
+    worker's process sentinel instead of sleeping out a fixed poll
     interval, and every wake first surfaces any worker traceback sitting in
     the result queue.
     """
 
-    def __init__(self, n_workers: int, queue_depth: int, poll_seconds: float,
-                 context, slot_bytes: int, bus_slots: int) -> None:
+    def __init__(self, config: StreamingConfig, n_workers: int,
+                 queue_depth: int, poll_seconds: float, context,
+                 slot_bytes: int, seeds: Optional[List[Dict]] = None) -> None:
         self.n_workers = n_workers
         self.poll_seconds = poll_seconds
-        self.bus = ChunkBusWriter(slot_bytes, bus_slots, n_workers, context)
+        self.bus = ChunkBusWriter(slot_bytes, config.bus_slots, n_workers,
+                                  context)
         self.out_queue = context.Queue()
         self.in_queues = [context.Queue(maxsize=queue_depth)
                           for _ in range(n_workers)]
-        self.processes: List = []
         # Non-error messages consumed while scanning for failures are
         # buffered here and served to receive() first, in arrival order.
         self._stray: deque = deque()
         # (worker label, registry dict) pairs shipped by workers after
         # _STOP; filled as messages pass through check_failure()/receive().
         self.telemetry_payloads: List[Tuple[str, Dict]] = []
-
-    def _spawn(self, context, target, per_worker_args) -> None:
+        # Indices of the workers already handed _STOP: their clean exit is
+        # legal even while the broadcast still waits on a slower peer.
+        self._stopped: set = set()
+        self._collect_id = 0
+        handle = self.bus.handle()
         self.processes = [
-            context.Process(target=target, args=args, daemon=True)
-            for args in per_worker_args
+            context.Process(target=_shard_worker, daemon=True, args=(
+                i, n_workers, config, handle, self.in_queues[i],
+                self.out_queue, seeds[i] if seeds is not None else None))
+            for i in range(n_workers)
         ]
         for process in self.processes:
             process.start()
@@ -313,15 +227,16 @@ class _PoolBase:
         """Raise if a worker died; *strict* also rejects clean exits.
 
         A clean (exit code 0) worker death is only legal after ``_STOP``;
-        a feeder still delivering work treats it as a failure too.
+        a feeder still delivering work treats it as a failure too — unless
+        that worker was already sent ``_STOP`` by :meth:`send_stop`.
         """
-        for process in self.processes:
+        for index, process in enumerate(self.processes):
             if process.is_alive():
                 continue
             if process.exitcode not in (0, None):
                 raise RuntimeError(
                     f"streaming worker died with exit code {process.exitcode}")
-            if strict:
+            if strict and index not in self._stopped:
                 raise RuntimeError(
                     "streaming worker exited before the end of the stream")
 
@@ -361,7 +276,11 @@ class _PoolBase:
             self.put(in_queue, item)
 
     def send_stop(self) -> None:
-        self.broadcast(_STOP)
+        # One queue at a time: while a put waits on a full queue, a peer
+        # that already took its _STOP may exit, and that exit is clean.
+        for index, in_queue in enumerate(self.in_queues):
+            self.put(in_queue, _STOP)
+            self._stopped.add(index)
 
     # ---------------- receiving ---------------- #
     def receive(self, block: bool):
@@ -457,43 +376,6 @@ class _PoolBase:
             self.bus.close()
 
 
-class _TypeWorkerPool(_PoolBase):
-    """One worker per group of traffic types (mode="type")."""
-
-    def __init__(self, types: Sequence[TrafficType], config: StreamingConfig,
-                 n_workers: int, queue_depth: int, poll_seconds: float,
-                 context, slot_bytes: int) -> None:
-        n_workers = max(1, min(n_workers, len(types)))
-        super().__init__(n_workers, queue_depth, poll_seconds, context,
-                         slot_bytes, config.bus_slots)
-        # Round-robin type -> worker; a type never migrates between workers.
-        own_types: List[List[str]] = [[] for _ in range(n_workers)]
-        for i, traffic_type in enumerate(types):
-            own_types[i % n_workers].append(traffic_type.value)
-        handle = self.bus.handle()
-        self._spawn(context, _type_worker, [
-            (i, config, own_types[i], handle, self.in_queues[i],
-             self.out_queue)
-            for i in range(n_workers)
-        ])
-
-
-class _ShardWorkerPool(_PoolBase):
-    """One worker per column shard of every detector (mode="shard")."""
-
-    def __init__(self, config: StreamingConfig, n_workers: int,
-                 queue_depth: int, poll_seconds: float, context,
-                 slot_bytes: int, seeds: Optional[List[Dict]] = None) -> None:
-        super().__init__(n_workers, queue_depth, poll_seconds, context,
-                         slot_bytes, config.bus_slots)
-        self._collect_id = 0
-        handle = self.bus.handle()
-        self._spawn(context, _shard_worker, [
-            (i, n_workers, config, handle, self.in_queues[i], self.out_queue,
-             seeds[i] if seeds is not None else None)
-            for i in range(n_workers)
-        ])
-
     def collect_scatter(self, type_value: str, n_features: int) -> np.ndarray:
         """Barrier-collect the assembled ``p x p`` scatter for one type.
 
@@ -530,10 +412,9 @@ class _ShardScatterProxy(_MomentTracker):
     weights — ``O(m p)`` per chunk) while the ``O(m p²)`` scatter update
     happens remotely in the shard workers, which see the identical float64
     chunk through the bus.  :meth:`covariance` triggers a collect barrier
-    that assembles the worker row blocks — by construction the same matrix
-    a :class:`~repro.streaming.sharding.ShardedOnlinePCA` would assemble
-    in-process, so calibration (and therefore every event) matches the
-    single-process run.
+    that assembles the worker row blocks — the stack of the blocks is the
+    single engine's scatter, so calibration (and therefore every event)
+    matches the single-process run.
 
     Serializes as a plain :class:`OnlinePCA` state with the assembled
     scatter: **checkpointing a distributed run is checkpointing the merged
@@ -574,23 +455,21 @@ class _ShardScatterProxy(_MomentTracker):
 
 
 # --------------------------------------------------------------------- #
-# drivers
+# driver
 # --------------------------------------------------------------------- #
 def parallel_stream_detect(
-    source=None,
+    source,
     config: StreamingConfig = StreamingConfig(),
     traffic_types: Optional[Sequence[TrafficType]] = None,
     n_workers: Optional[int] = None,
     queue_depth: int = 4,
     mp_context: Optional[str] = None,
-    mode: Optional[str] = None,
     poll_seconds: Optional[float] = None,
     checkpoint_dir: Optional[Union[str, os.PathLike]] = None,
     checkpoint_every_chunks: Optional[int] = None,
     on_events=None,
     resume_from: Optional[StreamingNetworkDetector] = None,
-    fault_hook: Optional[Callable[[int, "_PoolBase"], None]] = None,
-    chunks: Optional[Iterable[TrafficChunk]] = None,
+    fault_hook: Optional[Callable[[int, "_ShardWorkerPool"], None]] = None,
 ) -> StreamingReport:
     """Multi-process live diagnosis over a chunk source.
 
@@ -601,33 +480,27 @@ def parallel_stream_detect(
         :func:`~repro.streaming.sources.as_chunk_source` accepts
         (consumed once, in order).  Chunks may shrink over
         the stream (a short tail chunk is fine) but must not grow: the bus
-        ring is sized from the first chunk.  The ``chunks=`` keyword is a
-        deprecated alias.
+        ring is sized from the first chunk.
     config:
         Streaming configuration applied by every detector; also supplies
-        the defaults for *mode* (``parallel_mode``), the bus ring length
-        (``bus_slots``) and *poll_seconds*.
+        the bus ring length (``bus_slots``) and the default *poll_seconds*.
+        The moment engine must be ``"exact"``: the workers maintain the
+        exact scatter.
     traffic_types:
         Types to analyze; defaults to the types of the first chunk.
     n_workers:
-        Worker process count.  ``mode="type"`` caps it at the number of
-        traffic types (a type's detector must live in exactly one process)
-        and defaults to one worker per type; ``mode="shard"`` defaults to
-        the machine's CPU count and scales past the type count — workers
-        beyond the OD-flow count own empty shards.
+        Worker process count; defaults to the machine's CPU count (at
+        least 2).  Workers beyond the OD-flow count own empty shards.
     queue_depth:
         Bound of every worker input queue, in control messages.
     mp_context:
         Optional :mod:`multiprocessing` start-method name (e.g. ``"spawn"``);
         the platform default is used when ``None``.
-    mode:
-        ``"type"`` or ``"shard"`` (see the module docstring); defaults to
-        ``config.parallel_mode``.
     poll_seconds:
         Idle liveness-poll cadence; defaults to ``config.poll_seconds``.
         Worker death wakes the driver immediately regardless.
     checkpoint_dir:
-        Shard mode only: when given, the coordinator writes a **merged**
+        When given, the coordinator writes a **merged**
         (single-process-equivalent) checkpoint of the distributed state
         there every *checkpoint_every_chunks* chunks — restorable by the
         ordinary :func:`~repro.streaming.checkpoint.load_checkpoint`.
@@ -638,7 +511,7 @@ def parallel_stream_detect(
         batch of newly closed events (and the end-of-stream tail) — the
         same contract as :func:`~repro.streaming.pipeline.stream_detect`.
     resume_from:
-        Shard mode only: a restored flat
+        A restored flat
         :class:`~repro.streaming.pipeline.StreamingNetworkDetector` (from
         :func:`~repro.streaming.checkpoint.load_checkpoint`) whose state
         seeds the coordinator *and* every shard worker, so the run
@@ -658,9 +531,7 @@ def parallel_stream_detect(
         Identical (events, detections, counters) to the single-process
         :func:`~repro.streaming.pipeline.stream_detect` on the same stream.
     """
-    mode = config.parallel_mode if mode is None else mode
     poll = config.poll_seconds if poll_seconds is None else float(poll_seconds)
-    require(mode in ("type", "shard"), "mode must be 'type' or 'shard'")
     require(poll > 0.0, "poll_seconds must be positive")
     require(queue_depth >= 1, "queue_depth must be >= 1")
     require(n_workers is None or n_workers >= 1,
@@ -670,19 +541,12 @@ def parallel_stream_detect(
             "checkpoint_dir and checkpoint_every_chunks go together")
     require(checkpoint_every_chunks is None or checkpoint_every_chunks >= 1,
             "checkpoint_every_chunks must be >= 1 when given")
-    require(checkpoint_dir is None or mode == "shard",
-            "mid-stream checkpointing of a parallel run requires "
-            "mode='shard' (type mode keeps detector state in the workers)")
-    require(mode == "type" or config.engine == "exact",
-            "shard-parallel workers maintain the exact scatter; use "
-            "mode='type' for low-rank engines (or compress after the run "
+    require(config.engine == "exact",
+            "shard-parallel workers maintain the exact scatter; run "
+            "low-rank engines single-process (or compress after the run "
             "via compress_engine)")
-    require(resume_from is None or mode == "shard",
-            "resume_from requires mode='shard' (type mode keeps detector "
-            "state in the workers and replays from the stream start)")
 
-    source = _coalesce_source(source, chunks)
-    iterator = iter(source)
+    iterator = iter(as_chunk_source(source))
     try:
         first = next(iterator)
     except StopIteration:
@@ -697,141 +561,15 @@ def parallel_stream_detect(
     slot_bytes = chunk_slot_bytes(_restricted_chunk(first, types))
 
     context = multiprocessing.get_context(mp_context)
-    if mode == "shard":
-        workers = (n_workers if n_workers is not None
-                   else max(2, os.cpu_count() or 1))
-        seeds = (None if resume_from is None
-                 else _shard_seeds(resume_from, types, workers))
-        pool = _ShardWorkerPool(config, workers, queue_depth, poll, context,
-                                slot_bytes, seeds=seeds)
-        return _run_shard_mode(iterator, types, config, pool, checkpoint_dir,
-                               checkpoint_every_chunks, on_events=on_events,
-                               resume_from=resume_from,
-                               fault_hook=fault_hook)
-    pool = _TypeWorkerPool(types, config,
-                           n_workers if n_workers is not None else len(types),
-                           queue_depth, poll, context, slot_bytes)
-    return _run_type_mode(iterator, types, config, pool, on_events=on_events,
-                          fault_hook=fault_hook)
-
-
-def _finalize_runtime(report: StreamingReport, started: float,
-                      telemetry) -> None:
-    """Stamp wall-clock throughput on *report* (and the runtime gauge)."""
-    runtime = time.perf_counter() - started
-    report.runtime_seconds = runtime
-    report.bins_per_second = (report.n_bins_processed / runtime
-                              if runtime > 0.0 else 0.0)
-    if telemetry is not None:
-        telemetry.registry.gauge(
-            "runtime_seconds",
-            help="Wall-clock seconds of the run so far").set(runtime)
-
-
-def _run_type_mode(iterator, types: List[TrafficType],
-                   config: StreamingConfig,
-                   pool: _TypeWorkerPool,
-                   on_events=None, fault_hook=None) -> StreamingReport:
-    aggregator = OnlineEventAggregator()
-    report = StreamingReport()
-    telemetry = Telemetry.from_config(config)
-    if telemetry is not None:
-        pool.bus.bind_telemetry(telemetry)
-    spans: Dict[int, _ChunkSpan] = {}
-    buffered: Dict[int, Dict[TrafficType, ChunkDetections]] = {}
-    next_to_fuse = 0
-    n_chunks = 0
-    started = time.perf_counter()
-    try:
-        for chunk_index, chunk in enumerate(iterator):
-            if fault_hook is not None:
-                fault_hook(chunk_index, pool)
-            narrowed = _restricted_chunk(chunk, types)
-            spans[chunk_index] = _ChunkSpan(narrowed.start_bin,
-                                            narrowed.n_bins)
-            n_chunks += 1
-            descriptor = pool.publish(narrowed)
-            pool.broadcast((chunk_index, descriptor))
-            next_to_fuse = _drain(pool, buffered, spans, types, aggregator,
-                                  report, next_to_fuse, block=False,
-                                  telemetry=telemetry, on_events=on_events)
-        pool.send_stop()
-        while next_to_fuse < n_chunks:
-            next_to_fuse = _drain(pool, buffered, spans, types, aggregator,
-                                  report, next_to_fuse, block=True,
-                                  telemetry=telemetry, on_events=on_events)
-        if telemetry is not None:
-            # Fold every worker's registry into the coordinator's — the
-            # same merge discipline as the moment algebra: counters and
-            # histograms add, each worker's gauges carry disjoint labels.
-            for _, payload in pool.wait_for_telemetry():
-                telemetry.merge_registry(payload)
-        pool.shutdown()
-    except BaseException:
-        pool.shutdown(force=True)
-        raise
-    tail = aggregator.flush()
-    report.events.extend(tail)
-    if on_events is not None and tail:
-        on_events(tail)
-    _finalize_runtime(report, started, telemetry)
-    if telemetry is not None:
-        telemetry.write_snapshot()
-        telemetry.close()
-    return report
-
-
-def _drain(
-    pool: _TypeWorkerPool,
-    buffered: Dict[int, Dict[TrafficType, ChunkDetections]],
-    spans: Dict[int, _ChunkSpan],
-    types: List[TrafficType],
-    aggregator: OnlineEventAggregator,
-    report: StreamingReport,
-    next_to_fuse: int,
-    block: bool,
-    telemetry=None,
-    on_events=None,
-) -> int:
-    """Collect available worker results; fuse every completed chunk in order."""
-    while True:
-        message = pool.receive(block=block)
-        if message is None:
-            return next_to_fuse
-        chunk_index, type_value, result = message
-        buffered.setdefault(chunk_index, {})[TrafficType(type_value)] = result
-        # Fuse strictly in order, each chunk only once all types reported.
-        while next_to_fuse in buffered and \
-                len(buffered[next_to_fuse]) == len(types):
-            results = buffered.pop(next_to_fuse)
-            span = spans.pop(next_to_fuse)
-            if telemetry is not None:
-                # The coordinator's chunk clock ticks at fusion time (its
-                # only per-chunk work); workers sample their own traces.
-                telemetry.begin_chunk(next_to_fuse)
-            closed = _fuse_chunk_results(results, span, aggregator, report,
-                                         telemetry=telemetry)
-            if on_events is not None and closed:
-                on_events(closed)
-            if any(result.warmup for result in results.values()):
-                report.n_warmup_bins += span.n_bins
-                if telemetry is not None:
-                    telemetry.registry.counter(
-                        "warmup_bins",
-                        help="Bins consumed during model warmup").inc(
-                            span.n_bins)
-            if telemetry is not None:
-                telemetry.end_chunk()
-                telemetry.maybe_write_snapshot(report.n_chunks_processed)
-            next_to_fuse += 1
-        if block:
-            # Progress was made; let the caller re-check its exit condition.
-            return next_to_fuse
-
-
-def _flat_engine(engine):
-    """A restored per-type engine as flat ``OnlinePCA`` moments."""
-    return engine.merged() if hasattr(engine, "merged") else engine
+    workers = (n_workers if n_workers is not None
+               else max(2, os.cpu_count() or 1))
+    seeds = (None if resume_from is None
+             else _shard_seeds(resume_from, types, workers))
+    pool = _ShardWorkerPool(config, workers, queue_depth, poll, context,
+                            slot_bytes, seeds=seeds)
+    return _run_shards(iterator, types, config, pool, checkpoint_dir,
+                           checkpoint_every_chunks, on_events=on_events,
+                           resume_from=resume_from, fault_hook=fault_hook)
 
 
 def _shard_seeds(restored: StreamingNetworkDetector,
@@ -850,7 +588,7 @@ def _shard_seeds(restored: StreamingNetworkDetector,
             detector = restored.detector(traffic_type)
         except KeyError:
             continue
-        engine = _flat_engine(detector.engine)
+        engine = detector.engine
         if engine.n_features is None:
             continue
         state = engine.state_dict()
@@ -881,7 +619,7 @@ def _adopt_scatter_proxies(network: StreamingNetworkDetector,
             detector = network.detector(traffic_type)
         except KeyError:
             continue
-        flat = _flat_engine(detector.engine)
+        flat = detector.engine
         proxy = _ShardScatterProxy(config.forgetting, traffic_type.value,
                                    pool)
         if flat.n_features is not None:
@@ -893,11 +631,11 @@ def _adopt_scatter_proxies(network: StreamingNetworkDetector,
         detector._engine = proxy
 
 
-def _run_shard_mode(iterator, types: List[TrafficType],
-                    config: StreamingConfig, pool: _ShardWorkerPool,
-                    checkpoint_dir, checkpoint_every_chunks,
-                    on_events=None, resume_from=None,
-                    fault_hook=None) -> StreamingReport:
+def _run_shards(iterator, types: List[TrafficType],
+                config: StreamingConfig, pool: _ShardWorkerPool,
+                checkpoint_dir, checkpoint_every_chunks,
+                on_events=None, resume_from=None,
+                fault_hook=None) -> StreamingReport:
     # The whole single-process pipeline — calibration cadence, detection,
     # identification, in-order fusion — runs unchanged inside this
     # coordinator-owned network detector; only the engines differ, farming
@@ -949,6 +687,9 @@ def _run_shard_mode(iterator, types: List[TrafficType],
             for _, payload in pool.wait_for_telemetry():
                 telemetry.merge_registry(payload)
         pool.shutdown()
+        # A worker that failed after the last collect barrier left only its
+        # traceback in the result queue: surface it instead of finishing.
+        pool.check_failure()
     except BaseException:
         pool.shutdown(force=True)
         raise
@@ -961,7 +702,7 @@ def _run_shard_mode(iterator, types: List[TrafficType],
 class WorkerSupervisor:
     """Restart a parallel run from its last good checkpoint on worker death.
 
-    The distributed drivers are fail-fast by construction: a dead worker
+    The distributed driver is fail-fast by construction: a dead worker
     raises :class:`RuntimeError` and tears the whole attempt down (a shard
     worker's scatter row block dies with its process, so the attempt — not
     the single worker — is the recoverable unit).  This supervisor wraps
@@ -981,10 +722,10 @@ class WorkerSupervisor:
     * once *max_restarts* is exhausted the original fail-fast
       :class:`RuntimeError` escalates to the caller.
 
-    In ``mode="type"`` there are no mid-stream checkpoints (detector state
-    lives inside the workers), so every restart replays from the stream
-    start — correct, just slower; downstream sinks absorb the re-emitted
-    events through the idempotent event store.
+    Without a *checkpoint_dir* there is nothing to resume from, so every
+    restart replays from the stream start — correct, just slower;
+    downstream sinks absorb the re-emitted events through the idempotent
+    event store.
 
     Restart activity is visible in :attr:`registry` (and therefore in
     :class:`~repro.telemetry.health.HealthSnapshot` /
@@ -995,7 +736,7 @@ class WorkerSupervisor:
 
     Parameters
     ----------
-    config, traffic_types, n_workers, queue_depth, mp_context, mode,
+    config, traffic_types, n_workers, queue_depth, mp_context,
     poll_seconds, checkpoint_dir, checkpoint_every_chunks, on_events:
         Forwarded to :func:`parallel_stream_detect` on every attempt.
     source:
@@ -1004,9 +745,6 @@ class WorkerSupervisor:
         attempt iterates ``source.resume(resume_bin)``, so the source must
         support suffix replay (every provided source does; a plain
         iterable only survives restarts from bin 0 if it is re-iterable).
-        A legacy ``source_factory(resume_bin)`` callable still works here
-        behind a :class:`DeprecationWarning`, as does the deprecated
-        ``source_factory=`` keyword.
     max_restarts:
         Restart budget; ``0`` reproduces the bare fail-fast behavior.
     backoff_base, backoff_factor, jitter, sleep, seed:
@@ -1025,7 +763,7 @@ class WorkerSupervisor:
     def __init__(self, config: StreamingConfig, source=None,
                  traffic_types: Optional[Sequence[TrafficType]] = None,
                  n_workers: Optional[int] = None, queue_depth: int = 4,
-                 mp_context: Optional[str] = None, mode: Optional[str] = None,
+                 mp_context: Optional[str] = None,
                  poll_seconds: Optional[float] = None,
                  checkpoint_dir: Optional[Union[str, os.PathLike]] = None,
                  checkpoint_every_chunks: Optional[int] = None,
@@ -1033,19 +771,11 @@ class WorkerSupervisor:
                  backoff_base: float = 0.05, backoff_factor: float = 2.0,
                  jitter: float = 0.1, sleep=time.sleep, seed: int = 0,
                  registry: Optional[MetricsRegistry] = None,
-                 fault_hook=None, source_factory=None) -> None:
+                 fault_hook=None) -> None:
         require(max_restarts >= 0, "max_restarts must be >= 0")
         require(backoff_base >= 0.0, "backoff_base must be >= 0")
         require(backoff_factor >= 1.0, "backoff_factor must be >= 1")
         require(jitter >= 0.0, "jitter must be >= 0")
-        if source_factory is not None:
-            require(source is None,
-                    "pass either source= or source_factory=, not both")
-            warnings.warn(
-                "WorkerSupervisor(source_factory=...) is deprecated; pass "
-                "the stream as source= (any ChunkSource)",
-                DeprecationWarning, stacklevel=2)
-            source = FactoryChunkSource(source_factory)
         require(source is not None, "source is required")
         self._config = config
         self._source = as_chunk_source(source)
@@ -1053,7 +783,6 @@ class WorkerSupervisor:
         self._n_workers = n_workers
         self._queue_depth = queue_depth
         self._mp_context = mp_context
-        self._mode = config.parallel_mode if mode is None else mode
         self._poll_seconds = poll_seconds
         self._checkpoint_dir = checkpoint_dir
         self._checkpoint_every_chunks = checkpoint_every_chunks
@@ -1090,7 +819,7 @@ class WorkerSupervisor:
     def _resume_state(self):
         """(restored detector or None, resume bin) for the next attempt."""
         from repro.streaming.checkpoint import has_checkpoint, load_checkpoint
-        if self._mode != "shard" or self._checkpoint_dir is None or \
+        if self._checkpoint_dir is None or \
                 not has_checkpoint(self._checkpoint_dir):
             return None, 0
         restored = load_checkpoint(self._checkpoint_dir, fallback=True,
@@ -1107,7 +836,7 @@ class WorkerSupervisor:
                     traffic_types=self._traffic_types,
                     n_workers=self._n_workers,
                     queue_depth=self._queue_depth,
-                    mp_context=self._mp_context, mode=self._mode,
+                    mp_context=self._mp_context,
                     poll_seconds=self._poll_seconds,
                     checkpoint_dir=self._checkpoint_dir,
                     checkpoint_every_chunks=self._checkpoint_every_chunks,

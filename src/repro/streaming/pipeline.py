@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import time
 import uuid
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
@@ -508,43 +507,23 @@ class StreamingNetworkDetector:
         return load_checkpoint(directory)
 
 
-def _coalesce_source(source, chunks, parameter: str = "source"):
-    """Resolve the ``source=`` / deprecated ``chunks=`` pair of a driver.
-
-    Exactly one of the two must be given; ``chunks=`` warns and is folded
-    into *source*, which then goes through :func:`as_chunk_source`.
-    """
-    if chunks is not None:
-        require(source is None,
-                f"pass either {parameter}= or chunks=, not both")
-        warnings.warn(
-            f"the chunks= keyword is deprecated; pass the stream as "
-            f"{parameter}= (any ChunkSource or iterable of chunks)",
-            DeprecationWarning, stacklevel=3)
-        source = chunks
-    require(source is not None, f"{parameter} is required")
-    return as_chunk_source(source, parameter=parameter)
-
-
 def stream_detect(
-    source=None,
+    source,
     config: StreamingConfig = StreamingConfig(),
     traffic_types: Optional[Sequence[TrafficType]] = None,
     on_events: Optional[Callable[[List[AnomalyEvent]], None]] = None,
-    chunks: Optional[Iterable[TrafficChunk]] = None,
 ) -> StreamingReport:
     """Single-pass live diagnosis over a chunk source.
 
     *source* is anything :func:`~repro.streaming.sources.as_chunk_source`
-    accepts: a :class:`~repro.streaming.sources.ChunkSource`, a plain
-    iterable of chunks, or (deprecated) a ``factory(start_bin)`` callable.
-    The ``chunks=`` keyword is a deprecated alias for *source*.
+    accepts: a :class:`~repro.streaming.sources.ChunkSource` or a plain
+    iterable of chunks.
 
     *on_events*, when given, receives every batch of newly closed events as
     soon as it can no longer change — the hand-off point for persistence
     and alerting (see :mod:`repro.service`).
     """
-    source = _coalesce_source(source, chunks)
+    source = as_chunk_source(source)
     detector = StreamingNetworkDetector(config, traffic_types,
                                         on_events=on_events)
     tel = detector.telemetry

@@ -3,16 +3,18 @@
 Two ways to split the ``O(m p²)`` moment maintenance of
 :class:`~repro.streaming.online_pca.OnlinePCA` across workers, both exact:
 
-* **Column sharding** (:class:`ShardedOnlinePCA`): the ``p`` OD-flow columns
-  are partitioned into ``K`` shards; shard ``k`` maintains the rows of the
+* **Column sharding** (:class:`ShardWorkerMoments`): the ``p`` OD-flow
+  columns are partitioned into ``K`` shards
+  (:func:`partition_columns`); shard ``k`` maintains the rows of the
   centered scatter matrix belonging to its columns (an
   ``|cols_k| x p`` block, ``O(m p²/K)`` work per chunk).  Because the full
   scatter is just the stack of those row blocks, assembling them yields a
   covariance that matches the single-engine one bit-compatibly (up to float
-  accumulation order inside the BLAS), for **any** ``K`` and any partition
-  — the merge is associative and commutative in the partition.  All
-  weighting/decay bookkeeping is inherited from the same
-  ``_MomentTracker`` base the single engine uses, so the two cannot drift.
+  accumulation order inside the BLAS), for **any** ``K`` — the assembly is
+  independent of shard order.  All weighting/decay bookkeeping is
+  inherited from the same ``_MomentTracker`` base the single engine uses,
+  so the two cannot drift.  The shard-parallel driver
+  (:mod:`repro.streaming.parallel`) runs one such shard per worker process.
 
 * **Temporal sharding** (:func:`merge_online_pca`): engines that ingested
   *disjoint consecutive segments* of the stream are combined with the exact
@@ -27,15 +29,14 @@ Both guarantees are enforced by ``tests/test_streaming_properties.py`` and
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional
 
 import numpy as np
 
 from repro.streaming.online_pca import OnlinePCA, _MomentTracker
 from repro.utils.validation import require
 
-__all__ = ["ShardedOnlinePCA", "ShardWorkerMoments", "merge_online_pca",
-           "partition_columns"]
+__all__ = ["ShardWorkerMoments", "merge_online_pca", "partition_columns"]
 
 
 def partition_columns(n_features: int, n_shards: int) -> List[np.ndarray]:
@@ -47,18 +48,6 @@ def partition_columns(n_features: int, n_shards: int) -> List[np.ndarray]:
     require(n_features >= 1, "n_features must be >= 1")
     require(n_shards >= 1, "n_shards must be >= 1")
     return list(np.array_split(np.arange(n_features), min(n_shards, n_features)))
-
-
-def _validated_partition(partition: Sequence[Sequence[int]],
-                         n_features: int) -> List[np.ndarray]:
-    columns = [np.asarray(cols, dtype=int) for cols in partition]
-    require(all(cols.size >= 1 for cols in columns),
-            "every shard must own at least one column")
-    flat = np.concatenate(columns)
-    require(flat.size == n_features and
-            np.array_equal(np.sort(flat), np.arange(n_features)),
-            "shard columns must partition range(n_features) exactly")
-    return columns
 
 
 class _ColumnShard:
@@ -85,149 +74,12 @@ class _ColumnShard:
         )
 
 
-class ShardedOnlinePCA(_MomentTracker):
-    """Column-sharded drop-in replacement for :class:`OnlinePCA`.
-
-    The per-chunk ``O(m p)`` bookkeeping (weights, chunk mean, centering,
-    running mean) comes from the shared ``_MomentTracker`` base — computed
-    once, with the identical arithmetic the single engine uses — while the
-    ``O(m p²)`` scatter update (the throughput cap) is split across the
-    shards' independent row blocks.  The class mirrors the full
-    ``OnlinePCA`` accessor/serialization API, so
-    :class:`StreamingSubspaceDetector` runs on either engine unchanged
-    (select via ``StreamingConfig(n_shards=K)``).
-
-    Parameters
-    ----------
-    n_shards:
-        Number of column shards ``K`` (used when *partition* is ``None``;
-        the partition is materialized contiguously on the first chunk).
-    forgetting:
-        Per-bin decay factor ``λ``, exactly as in :class:`OnlinePCA`.
-    partition:
-        Explicit column partition: a sequence of index collections that
-        together cover ``range(p)`` exactly once.  Overrides *n_shards*.
-    """
-
-    #: Engine-kind tag written into checkpoint manifests.
-    STATE_KIND = "sharded_online_pca"
-
-    def __init__(self, n_shards: int = 2, forgetting: float = 1.0,
-                 partition: Optional[Sequence[Sequence[int]]] = None) -> None:
-        require(n_shards >= 1, "n_shards must be >= 1")
-        super().__init__(forgetting)
-        self._requested_shards = int(n_shards)
-        self._partition_spec = partition
-        self._shards: Optional[List[_ColumnShard]] = None
-
-    # ------------------------------------------------------------------ #
-    # accessors
-    # ------------------------------------------------------------------ #
-    @property
-    def n_shards(self) -> int:
-        """Number of column shards (the requested count until data arrives)."""
-        if self._shards is None:
-            if self._partition_spec is not None:
-                return len(self._partition_spec)
-            return self._requested_shards
-        return len(self._shards)
-
-    @property
-    def shard_columns(self) -> List[np.ndarray]:
-        """The materialized column partition (empty before the first chunk)."""
-        if self._shards is None:
-            return []
-        return [shard.columns.copy() for shard in self._shards]
-
-    # ------------------------------------------------------------------ #
-    # scatter storage (the only piece that differs from OnlinePCA)
-    # ------------------------------------------------------------------ #
-    def _initialize_scatter(self, n_features: int) -> None:
-        if self._partition_spec is not None:
-            columns = _validated_partition(self._partition_spec, n_features)
-        else:
-            columns = partition_columns(n_features, self._requested_shards)
-        self._shards = [_ColumnShard(cols, n_features) for cols in columns]
-
-    def _apply_scatter_update(self, centered: np.ndarray,
-                              weights: Optional[np.ndarray],
-                              delta: np.ndarray, decay: float,
-                              outer_coefficient: float) -> None:
-        for shard in self._shards:
-            shard.update(centered, weights, delta, decay, outer_coefficient)
-
-    # ------------------------------------------------------------------ #
-    # merge + derived quantities
-    # ------------------------------------------------------------------ #
-    def merged_scatter(self) -> np.ndarray:
-        """Assemble the full ``p x p`` scatter from the shard row blocks."""
-        require(self._shards is not None, "no data ingested yet")
-        scatter = np.empty((self._n_features, self._n_features))
-        for shard in self._shards:
-            scatter[shard.columns, :] = shard.block
-        return scatter
-
-    def merged(self) -> OnlinePCA:
-        """The assembled moments as an equivalent single :class:`OnlinePCA`."""
-        require(self._shards is not None, "no data ingested yet")
-        state = self._scalar_state(OnlinePCA.STATE_KIND)
-        arrays = {"mean": self._mean.copy(), "scatter": self.merged_scatter()}
-        return OnlinePCA.from_state(state, arrays)
-
-    def covariance(self) -> np.ndarray:
-        """The merged sample covariance ``M / (Σw - 1)``."""
-        require(self._weight_sum > 1.0,
-                "need total weight > 1 for a sample covariance")
-        return self.merged_scatter() / (self._weight_sum - 1.0)
-
-    # ------------------------------------------------------------------ #
-    # serialization (checkpoint/restore)
-    # ------------------------------------------------------------------ #
-    def state_dict(self) -> Dict[str, Dict]:
-        """Per-shard state as ``{"meta": scalars, "arrays": ndarrays}``."""
-        meta = self._scalar_state(self.STATE_KIND)
-        meta["n_shards"] = self.n_shards
-        arrays: Dict[str, np.ndarray] = {}
-        if self._shards is not None:
-            arrays["mean"] = self._mean.copy()
-            for i, shard in enumerate(self._shards):
-                arrays[f"shard{i}_columns"] = shard.columns.copy()
-                arrays[f"shard{i}_block"] = shard.block.copy()
-        return {"meta": meta, "arrays": arrays}
-
-    @classmethod
-    def from_state(cls, meta: Mapping,
-                   arrays: Mapping[str, np.ndarray]) -> "ShardedOnlinePCA":
-        """Rebuild a sharded engine from :meth:`state_dict` output."""
-        require(meta.get("kind") == cls.STATE_KIND,
-                f"state is not a {cls.STATE_KIND} state")
-        n_shards = int(meta["n_shards"])
-        engine = cls(n_shards=n_shards, forgetting=float(meta["forgetting"]))
-        if meta["has_data"]:
-            mean = np.array(arrays["mean"], dtype=float)
-            engine._n_features = mean.size
-            engine._mean = mean
-            shards = []
-            for i in range(n_shards):
-                columns = np.array(arrays[f"shard{i}_columns"], dtype=int)
-                shard = _ColumnShard(columns, mean.size)
-                block = np.array(arrays[f"shard{i}_block"], dtype=float)
-                require(block.shape == shard.block.shape,
-                        "shard block shape does not match its column count")
-                shard.block = block
-                shards.append(shard)
-            _validated_partition([s.columns for s in shards], mean.size)
-            engine._shards = shards
-        engine._restore_scalars(meta)
-        return engine
-
-
 class ShardWorkerMoments(_MomentTracker):
     """One shard's moments, owned end to end by a remote worker process.
 
-    The distributed driver (:mod:`repro.streaming.parallel`, shard mode)
-    gives each worker process one column shard of **every** per-type
-    detector.  The worker replays the full ``_MomentTracker`` scalar
+    The distributed driver (:mod:`repro.streaming.parallel`) gives each
+    worker process one column shard of **every** per-type detector.  The
+    worker replays the full ``_MomentTracker`` scalar
     arithmetic locally — the ``O(m p)`` mean/weight bookkeeping is
     duplicated across workers so no per-chunk scalar messages are needed,
     and because the arithmetic is deterministic on identical float64 input
@@ -235,10 +87,9 @@ class ShardWorkerMoments(_MomentTracker):
     storing only its own ``|cols| x p`` row block of the scatter (the
     ``O(m p²/K)`` share that is the point of the split).
 
-    This is exactly one :class:`_ColumnShard` of a
-    :class:`ShardedOnlinePCA` torn out into its own tracker: stacking the
-    blocks of all ``K`` workers reproduces the single-engine scatter
-    bit-compatibly, which is what the coordinator does at calibration time.
+    Stacking the blocks of all ``K`` workers reproduces the single-engine
+    scatter bit-compatibly, which is what the coordinator does at
+    calibration time.
     """
 
     def __init__(self, shard_index: int, n_shards: int,

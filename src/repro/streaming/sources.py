@@ -12,8 +12,7 @@ accepts one uniform ``source=`` argument normalized by
 * a :class:`ChunkSource` is used as-is;
 * a plain iterable of chunks is wrapped in :class:`IterableChunkSource`
   (``resume`` skips already-covered chunks — forward-only);
-* a legacy ``source_factory(resume_bin)`` callable is wrapped in
-  :class:`FactoryChunkSource` behind a :class:`DeprecationWarning`.
+* anything else is rejected with a :class:`TypeError`.
 
 Concrete sources provided here:
 
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import asyncio
 import queue as queue_module
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Mapping, Optional, Protocol, \
     runtime_checkable
@@ -44,8 +42,8 @@ from repro.flows.timeseries import TrafficMatrixSeries, TrafficType
 from repro.utils.validation import require
 
 __all__ = ["TrafficChunk", "ChunkSource", "IterableChunkSource",
-           "FactoryChunkSource", "as_chunk_source", "ChunkedSeriesSource",
-           "AsyncChunkSource", "chunk_series"]
+           "as_chunk_source", "ChunkedSeriesSource", "AsyncChunkSource",
+           "chunk_series"]
 
 
 @dataclass(frozen=True)
@@ -178,50 +176,21 @@ class IterableChunkSource:
         return IterableChunkSource(suffix())
 
 
-class FactoryChunkSource:
-    """Deprecated ``source_factory(resume_bin)`` behind the protocol.
-
-    The pre-protocol resumable shape: a callable mapping a resume bin to
-    the stream suffix.  Kept as a shim so existing factories keep working;
-    new code implements :class:`ChunkSource` directly.
-    """
-
-    def __init__(self, factory, start_bin: int = 0) -> None:
-        require(callable(factory), "factory must be callable")
-        self._factory = factory
-        self._start_bin = int(start_bin)
-
-    def __iter__(self) -> Iterator[TrafficChunk]:
-        return iter(self._factory(self._start_bin))
-
-    def resume(self, start_bin: int) -> "FactoryChunkSource":
-        require(start_bin >= 0, "start_bin must be non-negative")
-        return FactoryChunkSource(self._factory, start_bin)
-
-
 def as_chunk_source(source, parameter: str = "source") -> "ChunkSource":
     """Normalize any accepted feed shape to a :class:`ChunkSource`.
 
     The single adapter behind every driver's ``source=`` parameter:
-    protocol-conforming sources pass through, plain iterables are wrapped,
-    and legacy ``source_factory(resume_bin)`` callables are wrapped behind
-    a :class:`DeprecationWarning`.
+    protocol-conforming sources pass through and plain iterables are
+    wrapped.
     """
     require(source is not None, f"{parameter} must not be None")
     if isinstance(source, ChunkSource):
         return source
-    if callable(source):
-        warnings.warn(
-            f"passing a source_factory(resume_bin) callable as {parameter} "
-            f"is deprecated; pass a ChunkSource (an object with __iter__ "
-            f"and resume(start_bin)) instead",
-            DeprecationWarning, stacklevel=3)
-        return FactoryChunkSource(source)
     if isinstance(source, Iterable):
         return IterableChunkSource(source)
     raise TypeError(
-        f"{parameter} must be a ChunkSource, an iterable of TrafficChunk, "
-        f"or a source_factory callable; got {type(source).__name__}")
+        f"{parameter} must be a ChunkSource or an iterable of TrafficChunk; "
+        f"got {type(source).__name__}")
 
 
 class ChunkedSeriesSource:
@@ -232,31 +201,18 @@ class ChunkedSeriesSource:
     :mod:`repro.streaming.pipeline` needs — and it implements the
     :class:`ChunkSource` protocol: :meth:`resume` replays the suffix of
     the stream from any bin, preserving the original chunk boundaries
-    (the resume path of a checkpoint-restored detector).
-
-    *start_bin* (deprecated) declares the series to be a pre-cut suffix
-    whose first row sits at that stream-global bin.  New code keeps the
-    full series and calls ``resume(start_bin)`` instead.
+    (the resume path of a checkpoint-restored detector).  Row ``i`` of the
+    series is stream-global bin ``i``.
     """
 
-    def __init__(self, series: TrafficMatrixSeries, chunk_size: int,
-                 start_bin: int = 0) -> None:
+    def __init__(self, series: TrafficMatrixSeries, chunk_size: int) -> None:
         require(chunk_size >= 1, "chunk_size must be >= 1")
-        require(start_bin >= 0, "start_bin must be non-negative")
-        if start_bin:
-            warnings.warn(
-                "ChunkedSeriesSource(start_bin=...) is deprecated; build "
-                "the source over the full series and call "
-                "resume(start_bin) for suffix replay",
-                DeprecationWarning, stacklevel=2)
         self._series = series
         self._chunk_size = int(chunk_size)
-        # Stream-global bin of the series' first row, and the bin iteration
-        # starts at.  resume() moves only _resume_bin: one set of chunk
-        # boundaries (multiples of chunk_size past the origin) serves every
-        # suffix, which is what makes a resumed run chunk-identical.
-        self._origin_bin = int(start_bin)
-        self._resume_bin = int(start_bin)
+        # Stream-global bin iteration starts at.  resume() moves only this:
+        # one set of chunk boundaries (multiples of chunk_size) serves every suffix,
+        # which is what makes a resumed run chunk-identical.
+        self._resume_bin = 0
 
     @property
     def series(self) -> TrafficMatrixSeries:
@@ -276,40 +232,39 @@ class ChunkedSeriesSource:
     @property
     def end_bin(self) -> int:
         """Exclusive stream-global bin of the series' end."""
-        return self._origin_bin + self._series.n_bins
+        return self._series.n_bins
 
     def resume(self, start_bin: int) -> "ChunkedSeriesSource":
         """This stream from *start_bin* on, original chunk boundaries kept."""
-        require(self._origin_bin <= start_bin <= self.end_bin,
+        require(0 <= start_bin <= self.end_bin,
                 f"resume bin {start_bin} outside the stream range "
-                f"[{self._origin_bin}, {self.end_bin}]")
+                f"[0, {self.end_bin}]")
         clone = ChunkedSeriesSource(self._series, self._chunk_size)
-        clone._origin_bin = self._origin_bin
         clone._resume_bin = int(start_bin)
         return clone
 
     def __len__(self) -> int:
         n_chunks = 0
-        local = self._resume_bin - self._origin_bin
-        while local < self._series.n_bins:
-            local = (local // self._chunk_size + 1) * self._chunk_size
+        start = self._resume_bin
+        while start < self._series.n_bins:
+            start = (start // self._chunk_size + 1) * self._chunk_size
             n_chunks += 1
         return n_chunks
 
     def __iter__(self) -> Iterator[TrafficChunk]:
         n_bins = self._series.n_bins
-        local = self._resume_bin - self._origin_bin
-        while local < n_bins:
-            # Chunk boundaries are fixed multiples of chunk_size past the
-            # origin, so a mid-stream resume emits the identical chunks an
-            # uninterrupted iteration would from that point on.
-            stop = min(n_bins, (local // self._chunk_size + 1)
+        start = self._resume_bin
+        while start < n_bins:
+            # Chunk boundaries are fixed multiples of chunk_size, so a
+            # mid-stream resume emits the identical chunks an uninterrupted
+            # iteration would from that point on.
+            stop = min(n_bins, (start // self._chunk_size + 1)
                        * self._chunk_size)
             yield TrafficChunk(
-                start_bin=self._origin_bin + local,
-                matrices={t: self._series.matrix(t)[local:stop, :]
+                start_bin=start,
+                matrices={t: self._series.matrix(t)[start:stop, :]
                           for t in self._series.traffic_types})
-            local = stop
+            start = stop
 
 
 #: Queue sentinel marking a cleanly closed stream.

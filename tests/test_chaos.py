@@ -49,8 +49,7 @@ def dataset():
 
 
 def _shard_config():
-    return StreamingConfig(min_train_bins=128, recalibrate_every_bins=32,
-                           parallel_mode="shard")
+    return StreamingConfig(min_train_bins=128, recalibrate_every_bins=32)
 
 
 def _preserve_quarantine(checkpoint_dir):

@@ -2,8 +2,8 @@
 
 One feed shape for every driver: protocol conformance across all source
 implementations, the ``as_chunk_source`` adapter, suffix-replay resume
-semantics, the deprecation shims for the three legacy feed shapes, and
-the DetectionService auto-resume that the protocol makes possible.
+semantics, the rejection of the retired pre-protocol feed shapes, and the
+DetectionService auto-resume that the protocol makes possible.
 """
 
 import numpy as np
@@ -22,7 +22,6 @@ from repro.streaming import (
 from repro.streaming.parallel import WorkerSupervisor
 from repro.streaming.sources import (
     AsyncChunkSource,
-    FactoryChunkSource,
     IterableChunkSource,
     as_chunk_source,
 )
@@ -48,7 +47,6 @@ class TestProtocol:
         sources = [
             ChunkedSeriesSource(clean_series, CHUNK),
             IterableChunkSource([]),
-            FactoryChunkSource(lambda start_bin: iter([])),
             AsyncChunkSource(maxsize=2),
             SyntheticChunkSource(chunk_size=CHUNK, max_blocks=1),
             FlowCsvSource(str(path), network=abilene,
@@ -74,10 +72,10 @@ class TestProtocol:
             wrapped = as_chunk_source([])
         assert isinstance(wrapped, IterableChunkSource)
 
-    def test_as_chunk_source_warns_on_legacy_factory(self):
-        with pytest.deprecated_call():
-            wrapped = as_chunk_source(lambda start_bin: iter([]))
-        assert isinstance(wrapped, FactoryChunkSource)
+    def test_as_chunk_source_rejects_legacy_factory(self):
+        # A factory callable is not a feed shape.
+        with pytest.raises(TypeError, match="must be a ChunkSource"):
+            as_chunk_source(lambda start_bin: iter([]))
 
     def test_as_chunk_source_rejects_everything_else(self):
         with pytest.raises(TypeError, match="must be a ChunkSource"):
@@ -115,34 +113,32 @@ class TestResume:
 
 
 class TestDeprecatedShapes:
-    def test_stream_detect_chunks_keyword_warns_but_works(self, clean_series):
+    """The pre-protocol feed shapes are gone, not silently reinterpreted."""
+
+    def test_stream_detect_chunks_keyword_is_rejected(self, clean_series):
         source = ChunkedSeriesSource(clean_series, CHUNK)
-        with pytest.deprecated_call():
-            legacy = stream_detect(chunks=source, config=CONFIG)
-        modern = stream_detect(source, config=CONFIG)
-        assert legacy.n_bins_processed == modern.n_bins_processed
-        assert len(legacy.events) == len(modern.events)
+        with pytest.raises(TypeError):
+            stream_detect(chunks=source, config=CONFIG)
 
     def test_source_and_chunks_together_is_an_error(self, clean_series):
         source = ChunkedSeriesSource(clean_series, CHUNK)
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError):
             stream_detect(source, config=CONFIG, chunks=source)
 
-    def test_series_source_start_bin_keyword_warns(self, clean_series):
-        with pytest.deprecated_call():
+    def test_series_source_start_bin_keyword_is_rejected(self, clean_series):
+        with pytest.raises(TypeError):
             ChunkedSeriesSource(clean_series.window(64, 288), CHUNK,
                                 start_bin=64)
 
-    def test_synthetic_stream_start_block_warns(self):
-        with pytest.deprecated_call():
+    def test_synthetic_stream_start_block_is_rejected(self):
+        with pytest.raises(TypeError):
             synthetic_chunk_stream(chunk_size=CHUNK, max_blocks=2,
                                    start_block=1)
 
-    def test_supervisor_source_factory_keyword_warns(self):
-        with pytest.deprecated_call():
-            supervisor = WorkerSupervisor(
-                CONFIG, source_factory=lambda start_bin: iter([]))
-        assert isinstance(supervisor._source, FactoryChunkSource)
+    def test_supervisor_source_factory_keyword_is_rejected(self):
+        with pytest.raises(TypeError):
+            WorkerSupervisor(CONFIG,
+                             source_factory=lambda start_bin: iter([]))
 
     def test_supervisor_requires_exactly_one_source(self):
         with pytest.raises(ValueError, match="source is required"):

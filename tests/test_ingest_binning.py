@@ -155,9 +155,9 @@ class TestWatermark:
         binner = FlowRecordBinner(resolver, od_pairs, chunk_size=2,
                                   bin_seconds=BIN_SECONDS, lateness_bins=2)
         chunks = binner.add_batch(_batch_at_bins(proto, [0, 1, 2, 3, 4, 5]))
-        # High-water bin is 5; bins < 5+1-2 = 4 are sealed.
-        assert [c.start_bin for c in chunks] == [0, 2]
-        assert binner.emitted_watermark == 4
+        # High-water bin is 5; bins more than 2 behind it (< 3) are sealed.
+        assert [c.start_bin for c in chunks] == [0]
+        assert binner.emitted_watermark == 2
 
         # A record inside the lateness window is accepted...
         late_ok = binner.add_batch(_batch_at_bins(proto, [4], bytes_value=7.0))
@@ -167,10 +167,10 @@ class TestWatermark:
         assert binner.stats.late_records == 1
 
         tail = binner.finish()
-        assert [c.start_bin for c in tail] == [4]
-        assert tail[0].n_bins == 2
+        assert [c.start_bin for c in tail] == [2, 4]
+        assert tail[-1].n_bins == 2
         # The accepted in-window record landed on top of the original one.
-        assert tail[0].matrix(TrafficType.FLOWS).sum() == 3.0
+        assert tail[-1].matrix(TrafficType.FLOWS).sum() == 3.0
 
     def test_emission_is_gapless_with_zero_rows(self, resolver, od_pairs,
                                                 proto):

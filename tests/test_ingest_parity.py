@@ -46,6 +46,27 @@ class TestRoundTrip:
         assert report.ok
         assert report.max_abs_difference == 0.0
 
+    def test_bin_split_across_parse_batches_is_byte_identical(
+            self, clean_dataset, abilene, tmp_path):
+        # Small parse batches split chunk-final bins across batches: the
+        # high-water bin must stay open until its remaining records (in
+        # the next batch) arrived, even with no lateness slack.
+        series = clean_dataset.series.window(0, 192)
+        binning = series.binning
+        ingest = IngestConfig(chunk_size=8, batch_rows=257,
+                              bin_seconds=binning.bin_seconds,
+                              start_seconds=binning.start_seconds,
+                              n_bins=binning.n_bins)
+        assert ingest.lateness_bins == 0
+        report = round_trip_check(series, abilene,
+                                  str(tmp_path / "split.csv"), seed=12,
+                                  max_flows_per_cell=2,
+                                  streaming_config=STREAM_CONFIG,
+                                  ingest_config=ingest)
+        assert report.matrices_identical
+        assert report.max_abs_difference == 0.0
+        assert report.ok
+
     def test_mismatched_ingest_binning_is_rejected(self, window, abilene,
                                                    tmp_path):
         with pytest.raises(ValueError, match="match the series binning"):

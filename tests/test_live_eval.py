@@ -29,16 +29,14 @@ def batch(small_dataset):
 
 
 class TestEngineConfig:
-    def test_maps_all_three_engines(self):
+    def test_maps_both_engines(self):
         base = StreamingConfig(min_train_bins=100)
         exact = engine_config(base, "exact")
-        assert (exact.engine, exact.n_shards) == ("exact", 1)
-        sharded = engine_config(base, "sharded", n_shards=3)
-        assert (sharded.engine, sharded.n_shards) == ("exact", 3)
+        assert exact.engine == "exact"
         lowrank = engine_config(base, "lowrank")
-        assert (lowrank.engine, lowrank.n_shards) == ("lowrank", 1)
+        assert lowrank.engine == "lowrank"
         # Every other knob of the base config survives the specialization.
-        assert {c.min_train_bins for c in (exact, sharded, lowrank)} == {100}
+        assert {c.min_train_bins for c in (exact, lowrank)} == {100}
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="engine"):
@@ -86,7 +84,7 @@ class TestRunLiveEvaluation:
                    for result in suite.values())
 
     def test_all_live_engines_are_supported(self):
-        assert set(LIVE_ENGINES) == {"exact", "sharded", "lowrank"}
+        assert set(LIVE_ENGINES) == {"exact", "lowrank"}
 
 
 class TestBatchReference:

@@ -10,7 +10,8 @@ from repro.core import SubspaceDetector, aggregate_detections, detect_network_an
 from repro.core.events import Detection
 from repro.core.identification import identify_spe_flows
 from repro.core.pca import EigenflowDecomposition
-from repro.datasets import DatasetConfig, generate_abilene_dataset, synthetic_chunk_stream
+from repro.datasets import (DatasetConfig, SyntheticChunkSource,
+                            generate_abilene_dataset, synthetic_chunk_stream)
 from repro.evaluation import event_parity
 from repro.flows.timeseries import TrafficType
 from repro.streaming import (
@@ -304,30 +305,35 @@ class TestSources:
         assert sum(c.n_bins for c in chunks) == 2 * block.n_bins
 
     def test_chunked_source_start_bin_offset(self, small_dataset):
-        # Regression: the source must pass the start_bin offset through to
-        # chunk_series, so a restored detector can replay a series as the
-        # suffix of a longer stream.
+        # A restored detector replays the suffix of the stream from its
+        # resume bin: the resumed source starts there and keeps the
+        # stream-global bin indices.
         series = small_dataset.series
-        source = ChunkedSeriesSource(series, 96, start_bin=288)
+        source = ChunkedSeriesSource(series, 96).resume(288)
         chunks = list(source)
         assert chunks[0].start_bin == 288
-        assert chunks[-1].end_bin == 288 + series.n_bins
+        assert chunks[-1].end_bin == series.n_bins
         assert source.start_bin == 288
-        # Re-iterable with the same offset, and identical to the generator.
+        # Re-iterable with the same offset, and identical to the generator
+        # over the cut suffix.
         again = list(source)
         assert [c.start_bin for c in again] == [c.start_bin for c in chunks]
-        direct = list(chunk_series(series, 96, start_bin=288))
+        suffix = series.window(288, series.n_bins)
+        direct = list(chunk_series(suffix, 96, start_bin=288))
         assert [c.start_bin for c in direct] == [c.start_bin for c in chunks]
+        for a, b in zip(direct, chunks):
+            for t in a.traffic_types:
+                np.testing.assert_array_equal(a.matrix(t), b.matrix(t))
         with pytest.raises(ValueError):
-            ChunkedSeriesSource(series, 96, start_bin=-1)
+            ChunkedSeriesSource(series, 96).resume(-1)
 
     def test_synthetic_stream_resumes_at_start_block(self):
         block = DatasetConfig(weeks=0.25 / 7.0)
         full = list(synthetic_chunk_stream(chunk_size=24, block_config=block,
                                            seed=9, max_blocks=3))
-        resumed = list(synthetic_chunk_stream(chunk_size=24,
-                                              block_config=block, seed=9,
-                                              max_blocks=3, start_block=1))
+        resumed = list(SyntheticChunkSource(
+            chunk_size=24, block_config=block, seed=9,
+            max_blocks=3).resume(block.n_bins))
         suffix = [c for c in full if c.start_bin >= block.n_bins]
         assert [c.start_bin for c in resumed] == [c.start_bin for c in suffix]
         for a, b in zip(resumed, suffix):
@@ -436,8 +442,10 @@ class TestStreamingEdgeCases:
         assert engine.covariance().shape == (3, 3)
 
     def test_sharded_covariance_weight_guard(self):
-        from repro.streaming import ShardedOnlinePCA
-        engine = ShardedOnlinePCA(n_shards=2)
+        # The shard-parallel coordinator's engine guards like OnlinePCA,
+        # before any collect barrier reaches the workers.
+        from repro.streaming.parallel import _ShardScatterProxy
+        engine = _ShardScatterProxy(1.0, "bytes", pool=None)
         engine.partial_fit(np.array([[1.0, 2.0, 3.0, 4.0]]))
         with pytest.raises(ValueError):
             engine.covariance()

@@ -123,30 +123,47 @@ class TestCheckpointRoundtrip:
         restored = StreamingNetworkDetector.restore(tmp_path / "ckpt")
         resume_bin = restored.detector(TrafficType.BYTES).bins_processed
         assert resume_bin == split * CHUNK
-        suffix = small_dataset.series.window(resume_bin,
-                                             small_dataset.series.n_bins)
-        source = ChunkedSeriesSource(suffix, CHUNK, start_bin=resume_bin)
+        source = ChunkedSeriesSource(small_dataset.series,
+                                     CHUNK).resume(resume_bin)
         for chunk in source:
             restored.process_chunk(chunk)
         report = restored.finish()
         assert event_parity(uninterrupted.events, report.events).exact
 
-    def test_sharded_checkpoint_roundtrip(self, small_dataset, tmp_path):
-        config = StreamingConfig(min_train_bins=128,
-                                 recalibrate_every_bins=32, n_shards=4)
-        chunks = _chunks(small_dataset)
-        full = stream_detect(iter(chunks), config)
-
-        detector = StreamingNetworkDetector(config)
-        for chunk in chunks[:4]:
+    def _saved(self, small_dataset, live_config, path, n_chunks=6):
+        detector = StreamingNetworkDetector(live_config)
+        for chunk in _chunks(small_dataset)[:n_chunks]:
             detector.process_chunk(chunk)
-        detector.save(tmp_path / "ckpt")
-        restored = StreamingNetworkDetector.restore(tmp_path / "ckpt")
-        engine = restored.detector(TrafficType.BYTES).engine
-        assert engine.n_shards == 4
-        for chunk in chunks[4:]:
+        path = save_checkpoint(detector, path)
+        return path, json.loads((path / MANIFEST_FILENAME).read_text())
+
+    def test_manifest_with_retired_config_keys_restores(
+            self, small_dataset, live_config, uninterrupted, tmp_path):
+        # Manifests written before the column-shard count and the parallel
+        # mode left StreamingConfig still carry both keys.
+        path, manifest = self._saved(small_dataset, live_config,
+                                     tmp_path / "ckpt")
+        manifest["meta"]["config"].update(n_shards=1, parallel_mode="type")
+        (path / MANIFEST_FILENAME).write_text(json.dumps(manifest))
+
+        restored = load_checkpoint(path)
+        assert restored.config == live_config
+        for chunk in _chunks(small_dataset)[6:]:
             restored.process_chunk(chunk)
-        assert event_parity(full.events, restored.finish().events).exact
+        report = restored.finish()
+        assert report.events == uninterrupted.events
+        full = report_parity(uninterrupted, report)
+        assert all(full["equal"].values()), full["equal"]
+
+    def test_sharded_engine_kind_is_rejected(
+            self, small_dataset, live_config, tmp_path):
+        path, manifest = self._saved(small_dataset, live_config,
+                                     tmp_path / "ckpt")
+        engine = manifest["meta"]["detectors"]["bytes"]["engine"]
+        engine["kind"] = "sharded_online_pca"
+        (path / MANIFEST_FILENAME).write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="unknown engine kind"):
+            load_checkpoint(path)
 
 
 class TestAggregatorStateAcrossBoundary:

@@ -75,15 +75,6 @@ class TestHierarchyParity:
         report = detector.finish()
         assert event_parity(baseline_report.events, report.events).exact
 
-    def test_sharded_leaves_merge_cleanly(self, small_dataset,
-                                          baseline_report):
-        # Column-sharded leaf engines are assembled before the fold.
-        config = StreamingConfig(min_train_bins=128,
-                                 recalibrate_every_bins=32, n_shards=3)
-        report = run_hierarchy(chunk_series(small_dataset.series, CHUNK),
-                               config, n_pops=2).finish()
-        assert event_parity(baseline_report.events, report.events).exact
-
     def test_leaves_only_hold_their_share(self, small_dataset, live_config):
         chunks = list(chunk_series(small_dataset.series, CHUNK))
         detector = run_hierarchy(chunks, live_config, n_pops=2)

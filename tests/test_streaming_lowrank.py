@@ -12,7 +12,7 @@ The tracker promises three things, each tested here:
 3. **Drop-in integration** — detector calibration consumes the maintained
    basis directly, checkpoints round-trip bitwise with restart parity,
    ``merge_online_pca`` dispatches the small-core merge, and
-   ``compress_engine`` bridges from the exact/sharded engines.
+   ``compress_engine`` bridges from the exact/shard-parallel engines.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from repro.evaluation import event_parity, report_parity
 from repro.streaming import (
     LowRankEigenTracker,
     OnlinePCA,
-    ShardedOnlinePCA,
+    ShardWorkerMoments,
     StreamingConfig,
     StreamingNetworkDetector,
     StreamingSubspaceDetector,
@@ -222,8 +222,6 @@ class TestRankEdgeCases:
             StreamingConfig(engine="svd")
         with pytest.raises(ValueError, match="drift_tolerance"):
             StreamingConfig(engine="lowrank", drift_tolerance=-1.0)
-        with pytest.raises(ValueError, match="sharding"):
-            StreamingConfig(engine="lowrank", n_shards=2)
         with pytest.raises(ValueError, match="rank"):
             LowRankEigenTracker(rank=0)
 
@@ -348,12 +346,23 @@ class TestCompressEngine:
 
     def test_compress_sharded_engine_then_continue_streaming(self):
         """The sharding interop: ingest sharded exactly, compress, continue."""
+        from repro.streaming.parallel import _ShardScatterProxy
         rng = np.random.default_rng(19)
         matrix = _signal_stream(rng, 140, 24)
-        sharded = ShardedOnlinePCA(n_shards=3)
+        workers = [ShardWorkerMoments(i, 3) for i in range(3)]
+
+        class InProcessPool:
+            def collect_scatter(self, type_value, n_features):
+                scatter = np.empty((n_features, n_features))
+                for worker in workers:
+                    scatter[worker.columns, :] = worker.block
+                return scatter
+
+        # The shard-parallel coordinator's engine over 3 column shards.
+        sharded = _ShardScatterProxy(1.0, "bytes", InProcessPool())
         reference = LowRankEigenTracker(rank=10)
-        sharded.partial_fit(matrix[:100])
-        reference.partial_fit(matrix[:100])
+        for engine in workers + [sharded, reference]:
+            engine.partial_fit(matrix[:100])
         tracker = compress_engine(sharded, rank=10)
         tracker.partial_fit(matrix[100:])
         reference.partial_fit(matrix[100:])
@@ -371,8 +380,6 @@ class TestCompressEngine:
 class TestDetectorIntegration:
     def test_make_engine_dispatch(self):
         assert isinstance(make_engine(StreamingConfig()), OnlinePCA)
-        assert isinstance(make_engine(StreamingConfig(n_shards=3)),
-                          ShardedOnlinePCA)
         engine = make_engine(StreamingConfig(engine="lowrank", n_normal=4,
                                              rank_slack=5))
         assert isinstance(engine, LowRankEigenTracker)

@@ -1,4 +1,4 @@
-"""Parity and robustness tests for the multi-process chunk driver.
+"""Parity and robustness tests for the multi-process shard driver.
 
 The driver may only change wall-clock time: its report (events, raw
 detections, counters) must be identical to the single-process
@@ -17,6 +17,8 @@ import pytest
 from repro.evaluation import event_parity, report_parity
 from repro.flows.timeseries import TrafficType
 from repro.streaming import (
+    ChunkedSeriesSource,
+    ShardWorkerMoments,
     StreamingConfig,
     StreamingNetworkDetector,
     StreamingReport,
@@ -45,11 +47,14 @@ class TestParallelParity:
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_worker_counts_reproduce_event_list(
             self, small_dataset, live_config, baseline_report, n_workers):
+        # Events handed to on_events as they close are the report's events.
+        handed = []
         report = parallel_stream_detect(
-            chunk_series(small_dataset.series, CHUNK), live_config,
-            n_workers=n_workers)
+            ChunkedSeriesSource(small_dataset.series, CHUNK), live_config,
+            n_workers=n_workers, on_events=handed.extend)
         parity = event_parity(baseline_report.events, report.events)
         assert parity.exact, parity.to_dict()
+        assert event_parity(report.events, handed).exact
         full = report_parity(baseline_report, report)
         assert all(full["equal"].values()), full["equal"]
 
@@ -58,14 +63,6 @@ class TestParallelParity:
         report = parallel_stream_detect(
             chunk_series(small_dataset.series, CHUNK), live_config,
             n_workers=3, queue_depth=1)
-        assert event_parity(baseline_report.events, report.events).exact
-
-    def test_sharded_engines_inside_workers(self, small_dataset,
-                                            baseline_report):
-        config = StreamingConfig(min_train_bins=128,
-                                 recalibrate_every_bins=32, n_shards=4)
-        report = parallel_stream_detect(
-            chunk_series(small_dataset.series, CHUNK), config, n_workers=3)
         assert event_parity(baseline_report.events, report.events).exact
 
     def test_single_traffic_type_subset(self, small_dataset, live_config):
@@ -80,8 +77,8 @@ class TestParallelParity:
 
     def test_duplicate_traffic_types_are_deduped(self, small_dataset,
                                                  live_config):
-        # Regression: a duplicated type must neither hang the fusion loop
-        # nor fold chunks twice into one detector's moments.
+        # Regression: a duplicated type must not fold chunks twice into one
+        # detector's moments.
         single = stream_detect(chunk_series(small_dataset.series, CHUNK),
                                live_config,
                                traffic_types=[TrafficType.BYTES])
@@ -92,26 +89,18 @@ class TestParallelParity:
 
 
 class TestShardParallelParity:
-    """mode="shard": K workers each own a column shard of every detector."""
+    """K workers each own a column shard of every detector."""
 
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
     def test_shard_worker_counts_reproduce_event_list(
             self, small_dataset, live_config, baseline_report, n_workers):
         report = parallel_stream_detect(
             chunk_series(small_dataset.series, CHUNK), live_config,
-            n_workers=n_workers, mode="shard")
+            n_workers=n_workers)
         parity = event_parity(baseline_report.events, report.events)
         assert parity.exact, parity.to_dict()
         full = report_parity(baseline_report, report)
         assert all(full["equal"].values()), full["equal"]
-
-    def test_mode_defaults_from_config(self, small_dataset, baseline_report):
-        config = StreamingConfig(min_train_bins=128,
-                                 recalibrate_every_bins=32,
-                                 parallel_mode="shard")
-        report = parallel_stream_detect(
-            chunk_series(small_dataset.series, CHUNK), config, n_workers=2)
-        assert event_parity(baseline_report.events, report.events).exact
 
     def test_tight_bus_and_queue_backpressure(self, small_dataset,
                                               live_config, baseline_report):
@@ -119,7 +108,7 @@ class TestShardParallelParity:
                                      poll_seconds=0.05)
         report = parallel_stream_detect(
             chunk_series(small_dataset.series, CHUNK), config,
-            n_workers=2, queue_depth=1, mode="shard")
+            n_workers=2, queue_depth=1)
         assert event_parity(baseline_report.events, report.events).exact
 
     def test_more_workers_than_od_flows(self, live_config):
@@ -130,15 +119,14 @@ class TestShardParallelParity:
             for i in range(8)]
         config = StreamingConfig(min_train_bins=64, recalibrate_every_bins=32)
         baseline = stream_detect(chunks, config)
-        report = parallel_stream_detect(chunks, config, n_workers=6,
-                                        mode="shard")
+        report = parallel_stream_detect(chunks, config, n_workers=6)
         full = report_parity(baseline, report)
         assert all(full["equal"].values()), full["equal"]
 
     def test_lowrank_engine_is_rejected(self, live_config):
         config = StreamingConfig(engine="lowrank")
         with pytest.raises(ValueError, match="exact scatter"):
-            parallel_stream_detect(iter(()), config, mode="shard")
+            parallel_stream_detect(iter(()), config)
 
     def test_distributed_checkpoint_restores_as_flat_detector(
             self, small_dataset, live_config, baseline_report, tmp_path):
@@ -148,7 +136,7 @@ class TestShardParallelParity:
         chunks = list(chunk_series(small_dataset.series, CHUNK))
         every = 5
         parallel_stream_detect(iter(chunks), live_config, n_workers=2,
-                               mode="shard", checkpoint_dir=tmp_path,
+                               checkpoint_dir=tmp_path,
                                checkpoint_every_chunks=every)
         restored = StreamingNetworkDetector.restore(tmp_path)
         resume_from = (len(chunks) // every) * every
@@ -161,14 +149,13 @@ class TestShardParallelParity:
         full = report_parity(baseline_report, report)
         assert all(full["equal"].values()), full["equal"]
 
-    def test_checkpoint_requires_shard_mode(self, live_config, tmp_path):
-        with pytest.raises(ValueError, match="mode='shard'"):
-            parallel_stream_detect(iter(()), live_config, mode="type",
-                                   checkpoint_dir=tmp_path,
-                                   checkpoint_every_chunks=2)
+    def test_checkpoint_arguments_go_together(self, live_config, tmp_path):
         with pytest.raises(ValueError, match="go together"):
-            parallel_stream_detect(iter(()), live_config, mode="shard",
+            parallel_stream_detect(iter(()), live_config,
                                    checkpoint_dir=tmp_path)
+        with pytest.raises(ValueError, match="go together"):
+            parallel_stream_detect(iter(()), live_config,
+                                   checkpoint_every_chunks=2)
 
 
 def _tiny_chunks(n_chunks=12, n_bins=16, n_flows=9, start=0):
@@ -182,49 +169,64 @@ def _crashing_worker(*args):
     os._exit(3)
 
 
-class _ExplodingDetector:
+class _ExplodingMoments:
     def __init__(self, *args, **kwargs):
         raise RuntimeError("instrumented crash before any chunk")
 
 
-_REAL_TYPE_WORKER = parallel._type_worker
+class _MomentsFailingOnSecondChunk(ShardWorkerMoments):
+    def partial_fit(self, chunk):
+        if self.n_bins_seen:
+            raise RuntimeError("instrumented crash on the second chunk")
+        return super().partial_fit(chunk)
 
 
-def _crashing_on_first(*args):
-    """The real type worker, with detector construction exploding."""
-    parallel.StreamingSubspaceDetector = _ExplodingDetector
-    _REAL_TYPE_WORKER(*args)
+class _HoldingQueue:
+    """A worker input queue that stops serving after *hold_after* gets.
+
+    The worker then blocks until *release* is set, leaving the queue for
+    the driver to fill up behind it.
+    """
+
+    def __init__(self, queue, hold_after, release):
+        self._queue = queue
+        self._hold_after = hold_after
+        self._release = release
+        self._served = 0
+
+    def get(self):
+        if self._served == self._hold_after:
+            self._release.wait()
+        self._served += 1
+        return self._queue.get()
 
 
 class TestWorkerFailurePaths:
-    """Satellite: crash propagation, backpressure, and source failures."""
+    """Crash propagation, backpressure, source failures, clean stops."""
 
     fast = StreamingConfig(min_train_bins=64, poll_seconds=0.05)
 
-    @pytest.mark.parametrize("mode,target",
-                             [("type", "_type_worker"),
-                              ("shard", "_shard_worker")])
-    def test_worker_crash_propagates_promptly(self, monkeypatch, mode,
-                                              target):
+    @pytest.mark.parametrize(
+        "target", [pytest.param("_shard_worker", id="shard-_shard_worker")])
+    def test_worker_crash_propagates_promptly(self, monkeypatch, target):
         monkeypatch.setattr(parallel, target, _crashing_worker)
         started = time.monotonic()
         with pytest.raises(RuntimeError,
                            match="exit code 3|exited before the end"):
-            parallel_stream_detect(_tiny_chunks(), self.fast, n_workers=2,
-                                   mode=mode)
+            parallel_stream_detect(_tiny_chunks(), self.fast, n_workers=2)
         # Sentinel wakeup, not the old 1 s poll: the death is noticed fast.
         assert time.monotonic() - started < 10.0
         assert multiprocessing.active_children() == []
 
     def test_bounded_queues_throttle_a_slow_worker(self, monkeypatch):
         gate = multiprocessing.Event()
-        real_worker = parallel._type_worker
+        real_worker = parallel._shard_worker
 
         def gated_worker(*args):
             gate.wait()
             real_worker(*args)
 
-        monkeypatch.setattr(parallel, "_type_worker", gated_worker)
+        monkeypatch.setattr(parallel, "_shard_worker", gated_worker)
         config = dataclasses.replace(self.fast, bus_slots=2)
         pulled = []
 
@@ -236,11 +238,11 @@ class TestWorkerFailurePaths:
         result = {}
         thread = threading.Thread(
             target=lambda: result.update(report=parallel_stream_detect(
-                counting_chunks(), config, queue_depth=1)),
+                counting_chunks(), config, n_workers=2, queue_depth=1)),
             daemon=True)
         thread.start()
         time.sleep(1.0)
-        # With the worker gated shut, the driver must be blocked by the
+        # With the workers gated shut, the driver must be blocked by the
         # ring/queue bound — not buffering the whole stream ahead.
         assert thread.is_alive()
         assert len(pulled) < 12
@@ -249,16 +251,58 @@ class TestWorkerFailurePaths:
         assert not thread.is_alive()
         assert result["report"].n_chunks_processed == 12
 
-    @pytest.mark.parametrize("mode", ["type", "shard"])
-    def test_source_failure_shuts_workers_down(self, mode):
+    @pytest.mark.parametrize("n_workers", [pytest.param(2, id="shard")])
+    def test_source_failure_shuts_workers_down(self, n_workers):
         def failing_source():
             for chunk in _tiny_chunks(n_chunks=3):
                 yield chunk
             raise ValueError("source exploded")
 
         with pytest.raises(ValueError, match="source exploded"):
-            parallel_stream_detect(failing_source(), self.fast, n_workers=2,
-                                   mode=mode)
+            parallel_stream_detect(failing_source(), self.fast,
+                                   n_workers=n_workers)
+        assert multiprocessing.active_children() == []
+
+    def test_stopped_worker_exit_during_stop_broadcast(self, monkeypatch):
+        # Regression for the stop-broadcast race: worker 0 takes its _STOP
+        # and exits cleanly while the broadcast still waits on worker 1's
+        # full queue.  Worker 1 holds its queue full until the driver has
+        # checked liveness with worker 0 already gone, so the interleaving
+        # happens on every run.
+        chunks = _tiny_chunks(n_chunks=4)
+        release = multiprocessing.Event()
+        real_worker = parallel._shard_worker
+
+        def holding_worker(shard_index, n_shards, config, bus_handle,
+                           in_queue, out_queue, seed=None):
+            if shard_index == 1:
+                # Serve every chunk but the last, then hold the last chunk
+                # message in the queue (depth 1), so _STOP cannot enter.
+                in_queue = _HoldingQueue(in_queue, len(chunks) - 1, release)
+            real_worker(shard_index, n_shards, config, bus_handle, in_queue,
+                        out_queue, seed)
+
+        def release_after_peer_exit_seen(chunk_index, pool):
+            if chunk_index:
+                return
+            real_check = pool.check_alive
+
+            def check_alive(strict=False):
+                real_check(strict=strict)
+                if not pool.processes[0].is_alive():
+                    release.set()
+
+            pool.check_alive = check_alive
+
+        monkeypatch.setattr(parallel, "_shard_worker", holding_worker)
+        # No calibration (min_train_bins beyond the stream): no collect
+        # barrier needs worker 1 while it holds.
+        config = StreamingConfig(min_train_bins=1024, poll_seconds=0.05)
+        report = parallel_stream_detect(
+            chunks, config, n_workers=2, queue_depth=1,
+            fault_hook=release_after_peer_exit_seen)
+        assert release.is_set()
+        assert report.n_chunks_processed == len(chunks)
         assert multiprocessing.active_children() == []
 
 
@@ -277,43 +321,39 @@ class TestParallelEdgeCases:
         with pytest.raises(ValueError):
             parallel_stream_detect(iter(()), StreamingConfig(identify=False))
 
-    def test_worker_failure_propagates(self, live_config):
-        rng = np.random.default_rng(0)
-        good = TrafficChunk(start_bin=0, matrices={
-            TrafficType.BYTES: rng.random((16, 9)) + 1.0})
-        bad = TrafficChunk(start_bin=16, matrices={
-            TrafficType.BYTES: rng.random((16, 5)) + 1.0})  # wrong p
+    def test_worker_failure_propagates(self, live_config, monkeypatch):
+        monkeypatch.setattr(parallel, "ShardWorkerMoments",
+                            _MomentsFailingOnSecondChunk)
         with pytest.raises(RuntimeError,
                            match="streaming worker failed") as excinfo:
-            parallel_stream_detect([good, bad], live_config)
+            parallel_stream_detect(_tiny_chunks(), live_config, n_workers=1)
         # The forwarded traceback identifies the failing worker and how far
         # it got, so a crash in a long run is attributable from the message.
         text = str(excinfo.value)
-        assert "worker type-0" in text
-        assert "types bytes" in text
+        assert "worker shard-0" in text
+        assert "shard 0/1" in text
         assert "last-processed chunk 0" in text
 
     def test_worker_failure_before_any_chunk(self, live_config, monkeypatch):
-        monkeypatch.setattr(parallel, "_type_worker", _crashing_on_first)
+        monkeypatch.setattr(parallel, "ShardWorkerMoments", _ExplodingMoments)
         rng = np.random.default_rng(0)
         chunk = TrafficChunk(start_bin=0, matrices={
             TrafficType.BYTES: rng.random((16, 9)) + 1.0})
         with pytest.raises(RuntimeError,
                            match="streaming worker failed") as excinfo:
-            parallel_stream_detect([chunk], live_config)
+            parallel_stream_detect([chunk], live_config, n_workers=1)
         assert "last-processed chunk none" in str(excinfo.value)
 
 
 class TestWorkerSupervisor:
     def test_policy_validation(self, live_config):
         from repro.streaming import WorkerSupervisor
-        factory = lambda resume_bin: iter(())  # noqa: E731
         with pytest.raises(ValueError):
-            WorkerSupervisor(live_config, factory, max_restarts=-1)
+            WorkerSupervisor(live_config, [], max_restarts=-1)
         with pytest.raises(ValueError):
-            WorkerSupervisor(live_config, factory, backoff_factor=0.5)
+            WorkerSupervisor(live_config, [], backoff_factor=0.5)
         with pytest.raises(ValueError):
-            WorkerSupervisor(live_config, factory, jitter=-0.1)
+            WorkerSupervisor(live_config, [], jitter=-0.1)
 
     def test_backoff_schedule_is_seeded_and_exponential(self, live_config):
         from repro.streaming import WorkerSupervisor
@@ -336,13 +376,12 @@ class TestWorkerSupervisor:
                                               live_config, tmp_path):
         from repro.faults import FaultPlan
         from repro.streaming import WorkerSupervisor
-        config = dataclasses.replace(live_config, parallel_mode="shard")
-        from repro.streaming import ChunkedSeriesSource
         source = ChunkedSeriesSource(small_dataset.series, CHUNK)
 
         plan = FaultPlan().kill_worker(at_chunk=3, worker=0)
         supervisor = WorkerSupervisor(
-            config, source, n_workers=2, checkpoint_dir=tmp_path / "ckpt",
+            live_config, source, n_workers=2,
+            checkpoint_dir=tmp_path / "ckpt",
             checkpoint_every_chunks=2, max_restarts=0,
             sleep=lambda seconds: None, fault_hook=plan.hook)
         with pytest.raises(RuntimeError):
@@ -350,27 +389,26 @@ class TestWorkerSupervisor:
         assert supervisor.restarts == 0
         assert supervisor.degraded is False
 
-    def test_type_mode_restart_replays_from_start(self, small_dataset,
-                                                  live_config,
-                                                  baseline_report):
+    def test_restart_without_checkpoints_replays_all(
+            self, small_dataset, live_config, baseline_report):
         from repro.faults import FaultPlan
         from repro.streaming import WorkerSupervisor
-        series = small_dataset.series
+        resumed_at = []
 
-        def factory(resume_bin):
-            assert resume_bin == 0  # no type-mode checkpoints: full replay
-            return chunk_series(series, CHUNK)
+        class RecordingSource(ChunkedSeriesSource):
+            def resume(self, start_bin):
+                resumed_at.append(start_bin)
+                return super().resume(start_bin)
 
         plan = FaultPlan().kill_worker(at_chunk=3, worker=0)
-        # A legacy factory passed positionally still works, via the
-        # deprecation shim in as_chunk_source.
-        with pytest.deprecated_call():
-            supervisor = WorkerSupervisor(
-                live_config, factory, n_workers=2, mode="type",
-                max_restarts=1, backoff_base=0.0,
-                sleep=lambda seconds: None, fault_hook=plan.hook)
+        supervisor = WorkerSupervisor(
+            live_config, RecordingSource(small_dataset.series, CHUNK),
+            n_workers=2, max_restarts=1, backoff_base=0.0,
+            sleep=lambda seconds: None, fault_hook=plan.hook)
         report = supervisor.run()
         assert supervisor.restarts == 1
+        # No checkpoint directory: both attempts replay the full stream.
+        assert resumed_at == [0, 0]
         parity = event_parity(baseline_report.events, report.events)
         assert parity.exact, parity.to_dict()
 

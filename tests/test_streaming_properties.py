@@ -5,10 +5,10 @@ Three algebraic guarantees the sharded/parallel subsystem rests on:
 1. **Chunking invariance** — with ``λ = 1``, any split of a stream into
    chunks yields the same mean/covariance as ``np.cov`` of the full
    history, regardless of chunk boundaries.
-2. **Shard-merge associativity/commutativity** — for any K-way partition
-   of the columns (contiguous, shuffled, unbalanced), the assembled
-   :class:`ShardedOnlinePCA` covariance equals the single-engine one, and
-   the shard order inside the partition is irrelevant (bitwise).
+2. **Shard-merge associativity/commutativity** — for any shard count K
+   (including K > p), the scatter assembled from the row blocks of K
+   :class:`ShardWorkerMoments` equals the single-engine one, and the order
+   the blocks are assembled in is irrelevant (bitwise).
 3. **Temporal Chan merge** — engines over disjoint consecutive segments
    combine exactly: associative for every ``λ``, commutative at ``λ = 1``.
 """
@@ -18,7 +18,7 @@ import pytest
 
 from repro.streaming import (
     OnlinePCA,
-    ShardedOnlinePCA,
+    ShardWorkerMoments,
     merge_online_pca,
     partition_columns,
 )
@@ -48,6 +48,25 @@ def _feed(engine, matrix, bounds):
     for start, stop in zip(bounds[:-1], bounds[1:]):
         engine.partial_fit(matrix[start:stop])
     return engine
+
+
+def _shard_workers(n_shards, matrix, bounds, forgetting=1.0):
+    """*n_shards* shard workers that each ingested *matrix* in *bounds*."""
+    return [_feed(ShardWorkerMoments(i, n_shards, forgetting), matrix,
+                  bounds) for i in range(n_shards)]
+
+
+def _assembled_scatter(workers):
+    """The full scatter stacked from the workers' row blocks, in order."""
+    p = workers[0].n_features
+    scatter = np.full((p, p), np.nan)
+    for worker in workers:
+        scatter[worker.columns, :] = worker.block
+    return scatter
+
+
+def _assembled_covariance(workers):
+    return _assembled_scatter(workers) / (workers[0].weight_sum - 1.0)
 
 
 class TestChunkingInvariance:
@@ -92,64 +111,56 @@ class TestShardMergeAlgebra:
         for _ in range(N_TRIALS):
             matrix = _random_stream(rng)
             p = matrix.shape[1]
-            n_shards = int(rng.integers(1, p + 1))
-            # Random (shuffled, unbalanced) K-way partition of the columns.
-            permuted = rng.permutation(p)
-            partition = [cols for cols in
-                         np.array_split(permuted, n_shards) if cols.size]
+            # Any shard count, including more shards than columns (the
+            # trailing workers then own empty blocks).
+            n_shards = int(rng.integers(1, p + 4))
             bounds = _random_splits(rng, matrix.shape[0])
             single = _feed(OnlinePCA(), matrix, bounds)
-            sharded = _feed(ShardedOnlinePCA(partition=partition), matrix,
-                            bounds)
-            np.testing.assert_allclose(sharded.covariance(),
+            workers = _shard_workers(n_shards, matrix, bounds)
+            np.testing.assert_allclose(_assembled_covariance(workers),
                                        single.covariance(),
                                        rtol=1e-9, atol=1e-9)
-            np.testing.assert_array_equal(sharded.mean, single.mean)
-            assert sharded.weight_sum == pytest.approx(single.weight_sum)
-            assert sharded.n_samples == single.n_samples
+            for worker in workers:
+                np.testing.assert_array_equal(worker.mean, single.mean)
+                assert worker.weight_sum == pytest.approx(single.weight_sum)
+                assert worker.n_samples == single.n_samples
+            assert sum(w.columns.size for w in workers) == p
 
     def test_shard_order_is_irrelevant_bitwise(self):
-        # Commutativity in the partition: permuting the shard list yields
-        # the identical assembled scatter, entry for entry.
+        # Commutativity in the partition: assembling the blocks in reverse
+        # order yields the identical scatter, entry for entry.
         rng = np.random.default_rng(7)
         matrix = _random_stream(rng, n_bins=120, n_features=15)
-        partition = [np.array(c) for c in ([3, 0, 7], [1, 2, 14],
-                                           [4, 5, 6, 8], [9, 10, 11, 12, 13])]
-        forward = ShardedOnlinePCA(partition=partition)
-        backward = ShardedOnlinePCA(partition=list(reversed(partition)))
-        for start in range(0, 120, 40):
-            forward.partial_fit(matrix[start:start + 40])
-            backward.partial_fit(matrix[start:start + 40])
-        np.testing.assert_array_equal(forward.merged_scatter(),
-                                      backward.merged_scatter())
+        workers = _shard_workers(4, matrix, [0, 40, 80, 120])
+        np.testing.assert_array_equal(
+            _assembled_scatter(list(reversed(workers))),
+            _assembled_scatter(workers))
 
     def test_refining_a_partition_is_associative(self):
-        # K=2 and the K=4 refinement of the same stream agree: merging
+        # K=2 and its K=4 refinement of the same stream agree: merging
         # (A ∪ B) and (C ∪ D) equals merging A, B, C, D.
         rng = np.random.default_rng(13)
         matrix = _random_stream(rng, n_bins=140, n_features=16)
-        coarse = ShardedOnlinePCA(partition=[range(0, 8), range(8, 16)])
-        fine = ShardedOnlinePCA(partition=[range(0, 4), range(4, 8),
-                                           range(8, 12), range(12, 16)])
-        for start in range(0, 140, 35):
-            coarse.partial_fit(matrix[start:start + 35])
-            fine.partial_fit(matrix[start:start + 35])
-        np.testing.assert_allclose(fine.covariance(), coarse.covariance(),
+        bounds = list(range(0, 141, 35))
+        coarse = _shard_workers(2, matrix, bounds)
+        fine = _shard_workers(4, matrix, bounds)
+        assert [c.tolist() for c in partition_columns(16, 2)] == [
+            list(range(0, 8)), list(range(8, 16))]
+        np.testing.assert_allclose(_assembled_covariance(fine),
+                                   _assembled_covariance(coarse),
                                    rtol=1e-12, atol=1e-12)
 
     def test_sharding_with_forgetting_matches_single_engine(self):
         rng = np.random.default_rng(99)
         for lam in (0.9, 0.99):
             matrix = _random_stream(rng, n_bins=160, n_features=10)
-            single = OnlinePCA(forgetting=lam)
-            sharded = ShardedOnlinePCA(n_shards=3, forgetting=lam)
-            for start in range(0, 160, 23):
-                single.partial_fit(matrix[start:start + 23])
-                sharded.partial_fit(matrix[start:start + 23])
-            np.testing.assert_allclose(sharded.covariance(),
+            bounds = list(range(0, 160, 23)) + [160]
+            single = _feed(OnlinePCA(forgetting=lam), matrix, bounds)
+            workers = _shard_workers(3, matrix, bounds, forgetting=lam)
+            np.testing.assert_allclose(_assembled_covariance(workers),
                                        single.covariance(),
                                        rtol=1e-10, atol=1e-10)
-            assert sharded.effective_samples == \
+            assert workers[0].effective_samples == \
                 pytest.approx(single.effective_samples)
 
     def test_partition_helper_and_validation(self):
@@ -157,12 +168,13 @@ class TestShardMergeAlgebra:
         assert [len(c) for c in partition] == [3, 3, 2, 2]
         assert partition_columns(3, 8) and len(partition_columns(3, 8)) == 3
         with pytest.raises(ValueError):
-            ShardedOnlinePCA(partition=[[0, 1], [1, 2]]).partial_fit(
-                np.ones((2, 3)))
+            partition_columns(10, 0)
         with pytest.raises(ValueError):
-            ShardedOnlinePCA(partition=[[0], [2]]).partial_fit(np.ones((2, 3)))
+            ShardWorkerMoments(0, 0)
         with pytest.raises(ValueError):
-            ShardedOnlinePCA(n_shards=0)
+            ShardWorkerMoments(2, 2)  # shard index out of range
+        with pytest.raises(ValueError):
+            ShardWorkerMoments(-1, 2)
 
 
 class TestTemporalChanMerge:

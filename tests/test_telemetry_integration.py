@@ -141,26 +141,24 @@ class TestCheckpointRestore:
 
 
 class TestParallelDrivers:
-    @pytest.mark.parametrize("mode,n_workers", [("type", 2), ("shard", 3)])
+    @pytest.mark.parametrize("n_workers", [2, 3],
+                             ids=lambda n: f"shard-{n}")
     def test_merged_snapshot_reconciles(self, small_dataset, base_config,
-                                        plain_report, tmp_path, mode,
-                                        n_workers):
+                                        plain_report, tmp_path, n_workers):
         config = _telemetry_config(base_config, tmp_path)
         report = parallel_stream_detect(
             chunk_series(small_dataset.series, CHUNK), config,
-            n_workers=n_workers, mode=mode)
+            n_workers=n_workers)
         assert report.events == plain_report.events
         snapshot = HealthSnapshot.read(config.telemetry_snapshot_path)
         _assert_reconciles(snapshot, report)
         assert snapshot.recalibrations > 0
         # Every worker shipped its registry: per-worker chunk counts merged.
-        prefix = "type-" if mode == "type" else "shard-"
-        assert sorted(snapshot.workers) == [f"{prefix}{i}"
+        assert sorted(snapshot.workers) == [f"shard-{i}"
                                             for i in range(n_workers)]
         assert all(count == report.n_chunks_processed
                    for count in snapshot.workers.values())
-        # Worker-side stage timings arrived too ("update" runs remotely in
-        # shard mode, everything per-type in type mode).
+        # Worker-side stage timings arrived too ("update" runs remotely).
         assert snapshot.stage_seconds["update"]["count"] > 0
         assert report.runtime_seconds > 0.0
         assert report.bins_per_second > 0.0
@@ -169,10 +167,10 @@ class TestParallelDrivers:
                                              base_config, tmp_path):
         config = _telemetry_config(base_config, tmp_path)
         parallel_stream_detect(chunk_series(small_dataset.series, CHUNK),
-                               config, n_workers=2, mode="type")
+                               config, n_workers=2)
         names = sorted(os.listdir(tmp_path))
-        assert "trace.jsonl.type-0" in names
-        assert "trace.jsonl.type-1" in names
+        assert "trace.jsonl.shard-0" in names
+        assert "trace.jsonl.shard-1" in names
 
 
 class TestStatusCli:
