@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.flows.timeseries import TrafficType
 from repro.ingest.csv_io import RecordBatch
-from repro.routing.resolver import PoPResolver, anonymize_address
+from repro.routing.resolver import PoPResolver
 from repro.streaming.sources import TrafficChunk
 from repro.utils.validation import require
 

@@ -95,7 +95,7 @@ class Telemetry:
         self.tracer.end_chunk()
 
     def span(self, stage: str, **attrs) -> Span:
-        return self.tracer.span(stage, **attrs)
+        return Span(self.tracer, stage, attrs)
 
     # ------------------------------------------------------------------ #
     # snapshots

@@ -18,7 +18,7 @@ import os
 import time
 import uuid
 import warnings
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Dict, List, Mapping, Optional
 
 from repro.telemetry.registry import MetricsRegistry
@@ -129,7 +129,11 @@ class HealthSnapshot:
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, object]:
-        return {"version": SNAPSHOT_VERSION, **asdict(self)}
+        """The JSON form.  Nested dicts are this snapshot's own, not copies:
+        every field is plain data, and a deep copy of the registry dump
+        costs more than the rest of a periodic snapshot write."""
+        return {"version": SNAPSHOT_VERSION,
+                **{f.name: getattr(self, f.name) for f in dataclass_fields(self)}}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "HealthSnapshot":
@@ -165,7 +169,8 @@ class HealthSnapshot:
         tmp_path = f"{path}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
         try:
             with open(tmp_path, "w", encoding="utf-8") as handle:
-                json.dump(self.to_dict(), handle, sort_keys=True)
+                # dumps, not dump: only the one-shot encoder runs in C.
+                handle.write(json.dumps(self.to_dict(), sort_keys=True))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_path, path)

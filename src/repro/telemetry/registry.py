@@ -28,6 +28,7 @@ unchanged.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.utils.validation import require
@@ -154,11 +155,10 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
+        # The first bucket whose edge is >= value; NaN and values past the
+        # last edge fail the guard and land in the +Inf bucket.
+        bounds = self.bounds
+        index = bisect_left(bounds, value) if value <= bounds[-1] else len(bounds)
         with self._lock:
             self.counts[index] += 1
             self.total += value
@@ -230,19 +230,21 @@ class MetricsRegistry:
     # accessors (get-or-create)
     # ------------------------------------------------------------------ #
     def _get_or_create(self, name: str, labels, kind: str, factory):
+        # Explicit raises rather than require(): this runs per chunk, and
+        # require() would format its message on every call.
         key = (name, _labels_key(labels))
         with self._lock:
             metric = self._metrics.get(key)
             if metric is None:
                 for (other_name, _), other in self._metrics.items():
-                    require(other_name != name or other.kind == kind,
-                            f"metric {name!r} already registered as a "
-                            f"{other.kind}, not a {kind}")
+                    if other_name == name and other.kind != kind:
+                        raise ValueError(f"metric {name!r} already registered "
+                                         f"as a {other.kind}, not a {kind}")
                 metric = factory()
                 self._metrics[key] = metric
-            require(metric.kind == kind,
-                    f"metric {name!r} already registered as a "
-                    f"{metric.kind}, not a {kind}")
+            elif metric.kind != kind:
+                raise ValueError(f"metric {name!r} already registered as a "
+                                 f"{metric.kind}, not a {kind}")
             return metric
 
     def counter(self, name: str,
@@ -263,9 +265,9 @@ class MetricsRegistry:
             self._help.setdefault(name, help)
         gauge = self._get_or_create(name, labels, "gauge",
                                     lambda: Gauge(self._lock, mode))
-        require(gauge.mode == mode,
-                f"gauge {name!r} already registered with merge mode "
-                f"{gauge.mode!r}, not {mode!r}")
+        if gauge.mode != mode:
+            raise ValueError(f"gauge {name!r} already registered with merge "
+                             f"mode {gauge.mode!r}, not {mode!r}")
         return gauge
 
     def histogram(self, name: str,

@@ -26,7 +26,7 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import Histogram, MetricsRegistry
 from repro.utils.validation import require
 
 __all__ = ["Span", "Tracer", "JsonLinesSink", "NullSink", "ListSink"]
@@ -138,6 +138,9 @@ class Tracer:
         self._active: List[Span] = []
         self._chunk_index: Optional[int] = None
         self._chunk_sampled = False
+        # Registry metrics are never replaced once created, so each
+        # stage's histogram is looked up once, not once per span.
+        self._stage_histograms: Dict[str, Histogram] = {}
         self.n_chunks_seen = 0
         self.n_chunks_sampled = 0
 
@@ -180,10 +183,13 @@ class Tracer:
         if span in self._active:
             self._active.remove(span)
         if self.registry is not None:
-            self.registry.histogram(
-                "stage_seconds", {"stage": span.stage},
-                help="Per-stage wall time (seconds)",
-            ).observe(span.duration_seconds)
+            histogram = self._stage_histograms.get(span.stage)
+            if histogram is None:
+                histogram = self.registry.histogram(
+                    "stage_seconds", {"stage": span.stage},
+                    help="Per-stage wall time (seconds)")
+                self._stage_histograms[span.stage] = histogram
+            histogram.observe(span.duration_seconds)
         inside_chunk = self._chunk_index is not None
         emit = self._chunk_sampled if inside_chunk else True
         if emit and not isinstance(self.sink, NullSink):

@@ -14,7 +14,7 @@ isolation and reused by baselines and ablations.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy import special as _special
 
 from repro.utils.validation import ensure_probability, require
 
@@ -30,7 +30,7 @@ __all__ = [
 def normal_quantile(confidence: float) -> float:
     """Return the standard-normal quantile at *confidence* (e.g. 0.999)."""
     ensure_probability(confidence, "confidence")
-    return float(_scipy_stats.norm.ppf(confidence))
+    return float(_special.ndtri(confidence))
 
 
 def f_quantile(dfn: int, dfd: int, confidence: float) -> float:
@@ -38,7 +38,7 @@ def f_quantile(dfn: int, dfd: int, confidence: float) -> float:
     require(dfn >= 1, "dfn must be >= 1")
     require(dfd >= 1, "dfd must be >= 1")
     ensure_probability(confidence, "confidence")
-    return float(_scipy_stats.f.ppf(confidence, dfn, dfd))
+    return float(_special.fdtri(dfn, dfd, confidence))
 
 
 def q_statistic_threshold(

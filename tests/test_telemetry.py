@@ -381,7 +381,7 @@ class TestSnapshotWriteRaces:
     def test_failed_write_cleans_its_temp_file(self, tmp_path, monkeypatch):
         path = tmp_path / "health.json"
         snapshot = self._snapshot()
-        monkeypatch.setattr(json, "dump",
+        monkeypatch.setattr(json, "dumps",
                             lambda *a, **k: (_ for _ in ()).throw(
                                 OSError("disk full")))
         with pytest.raises(OSError):

@@ -1,5 +1,9 @@
 """Unit tests for the statistical threshold helpers."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -12,6 +16,8 @@ from repro.utils.stats import (
     t_squared_threshold,
 )
 
+CONFIDENCES = (0.9, 0.99, 0.995, 0.999, 0.9999)
+
 
 class TestNormalQuantile:
     def test_median_is_zero(self):
@@ -23,6 +29,10 @@ class TestNormalQuantile:
     def test_monotone_in_confidence(self):
         assert normal_quantile(0.99) < normal_quantile(0.999) < normal_quantile(0.9999)
 
+    def test_matches_scipy(self):
+        for confidence in (0.5, *CONFIDENCES):
+            assert normal_quantile(confidence) == scipy_stats.norm.ppf(confidence)
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
     def test_rejects_invalid_confidence(self, bad):
         with pytest.raises(ValueError):
@@ -31,8 +41,12 @@ class TestNormalQuantile:
 
 class TestFQuantile:
     def test_matches_scipy(self):
-        assert f_quantile(4, 2000, 0.999) == pytest.approx(
-            scipy_stats.f.ppf(0.999, 4, 2000))
+        # Bitwise: scipy.stats' F ppf is a wrapper around scipy.special.fdtri.
+        for confidence in CONFIDENCES:
+            for dfn, dfd in [(1, 30), (4, 92), (4, 2000), (4, 2012), (5, 8060),
+                             (10, 20_000), (4, 199_996)]:
+                assert (f_quantile(dfn, dfd, confidence)
+                        == scipy_stats.f.ppf(confidence, dfn, dfd)), (dfn, dfd, confidence)
 
     def test_increases_with_confidence(self):
         assert f_quantile(4, 100, 0.99) < f_quantile(4, 100, 0.999)
@@ -119,3 +133,16 @@ class TestEmpiricalQuantileThreshold:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             empirical_quantile_threshold(np.array([]), 0.9)
+
+
+def test_library_does_not_import_scipy_stats():
+    # The limits need two quantiles from scipy.special; importing
+    # scipy.stats would add its set-up time and memory to every process.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    code = ("import sys, repro.core, repro.streaming, repro.ingest, repro.service; "
+            "print('scipy.stats' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
