@@ -25,7 +25,7 @@ two watermarks compose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,37 @@ class BinningStats:
     def dropped(self) -> int:
         """Total records that did not land in a cell."""
         return self.records - self.binned
+
+
+class _CodeCache:
+    """Persistent int64 key -> int64 code map held as sorted arrays.
+
+    The distinct keys of a batch are looked up with one ``searchsorted``;
+    only keys never seen before are resolved (once each, in ascending
+    order) and merged in.
+    """
+
+    def __init__(self) -> None:
+        self._keys = np.empty(0, np.int64)
+        self._codes = np.empty(0, np.int64)
+
+    def codes(self, keys: np.ndarray,
+              resolve: Callable[[int], int]) -> np.ndarray:
+        """Codes of *keys*, calling ``resolve(int) -> int`` for new ones."""
+        # Searching the distinct keys in ascending order is several times
+        # cheaper than searching every key of the batch in record order.
+        unique, inverse = np.unique(keys, return_inverse=True)
+        position = np.searchsorted(self._keys, unique)
+        found = position < len(self._keys)
+        found[found] = self._keys[position[found]] == unique[found]
+        if not found.all():
+            new = unique[~found]
+            new_codes = np.fromiter(map(resolve, new.tolist()), np.int64,
+                                    len(new))
+            self._keys = np.insert(self._keys, position[~found], new)
+            self._codes = np.insert(self._codes, position[~found], new_codes)
+            position = np.searchsorted(self._keys, unique)
+        return self._codes[position][inverse]
 
 
 class FlowRecordBinner:
@@ -139,16 +170,21 @@ class FlowRecordBinner:
             self._od_column[self._pop_code[origin],
                             self._pop_code[destination]] = column
         self._pop_names = pops
-        #: router name -> pop code (or None when unknown to the topology)
-        self._router_code: Dict[str, Optional[int]] = {}
-        #: src address -> pop code for records without a known router
-        self._src_code: Dict[int, Optional[int]] = {}
-        #: anonymized dst -> egress pop code (int), unreachable (None), or
-        #: the candidate-PoP tuple of a multihomed route (hot-potato
-        #: tie-break still needed — stage two below)
-        self._dst_resolution: Dict[int, object] = {}
-        #: (candidate tuple, ingress code) -> chosen egress pop code
-        self._hot_potato: Dict[Tuple[Tuple[str, ...], int], int] = {}
+        self._n_pops = n_pops
+        #: router name -> pop code, -1 when the name does not resolve (the
+        #: record then falls back to its source address)
+        self._router_code: Dict[object, int] = {}
+        #: src address -> pop code (-1 unresolved), for records without a
+        #: known router
+        self._src_codes = _CodeCache()
+        #: anonymized dst -> egress pop code, -1 when unreachable, or
+        #: ``-2 - i`` for the multihomed candidate tuple
+        #: ``self._multihomed[i]`` (hot-potato tie-break still needed —
+        #: stage two of :meth:`_egress_codes`)
+        self._dst_codes = _CodeCache()
+        self._multihomed: List[Tuple[str, ...]] = []
+        #: ``i * n_pops + ingress code`` -> chosen egress pop code
+        self._hot_potato = _CodeCache()
         self._anonymized_bits = resolver.anonymized_bits
 
         # Open bins live in one contiguous rolling window per traffic type
@@ -177,104 +213,77 @@ class FlowRecordBinner:
     # resolution (vectorized with caches)
     # ------------------------------------------------------------------ #
     def _ingress_codes(self, batch: RecordBatch) -> np.ndarray:
+        router_code = self._router_code
         routers = batch.router
-        # Unique router names first: the common case is a handful of names
-        # per batch, each resolved once via the router -> PoP table.
-        unique_routers, inverse = np.unique(routers.astype(str),
-                                            return_inverse=True)
-        router_codes = np.full(len(unique_routers), -1, np.int64)
-        needs_lookup = np.zeros(len(unique_routers), bool)
-        for i, name in enumerate(unique_routers):
-            if not name:
-                needs_lookup[i] = True
-                continue
-            if name not in self._router_code:
+        # One dict lookup per record in C (map + fromiter); only names
+        # never seen before go through the router -> PoP table.
+        try:
+            codes = np.fromiter(map(router_code.__getitem__, routers),
+                                np.int64, batch.n_records)
+        except KeyError:
+            for name in set(routers).difference(router_code):
                 pop = self._resolver.router_pop_map.get(name)
-                self._router_code[name] = (None if pop is None
-                                           else self._pop_code[pop])
-            code = self._router_code[name]
-            if code is None:
-                # Unknown router name: fall back to the source-address
-                # table, like PoPResolver.resolve_ingress does.
-                needs_lookup[i] = True
-            else:
-                router_codes[i] = code
-        codes = router_codes[inverse]
-        fallback = needs_lookup[inverse]
-        if np.any(fallback):
-            table = self._resolver.ingress_table
-            for index in np.nonzero(fallback)[0]:
-                src = int(batch.src_addr[index])
-                if src not in self._src_code:
-                    pop = table.lookup(src)
-                    self._src_code[src] = (None if pop is None
-                                           else self._pop_code[pop])
-                code = self._src_code[src]
-                codes[index] = -1 if code is None else code
+                router_code[name] = -1 if pop is None else self._pop_code[pop]
+            codes = np.fromiter(map(router_code.__getitem__, routers),
+                                np.int64, batch.n_records)
+        fallback = codes < 0
+        if fallback.any():
+            # Empty or unknown router name: fall back to the source-address
+            # table, like PoPResolver.resolve_ingress does — once per
+            # distinct source address.
+            codes[fallback] = self._src_codes.codes(
+                batch.src_addr[fallback], self._src_pop_code)
         return codes
+
+    def _src_pop_code(self, src: int) -> int:
+        pop = self._resolver.ingress_table.lookup(src)
+        return -1 if pop is None else self._pop_code[pop]
+
+    def _dst_pop_code(self, dst: int) -> int:
+        """Ingress-independent egress resolution of one anonymized dst."""
+        route = self._resolver.bgp_table.lookup(dst)
+        if route is None:
+            # Same fallback PoPResolver.resolve_egress applies: customer
+            # prefixes absent from BGP.
+            pop = self._resolver.ingress_table.lookup(dst)
+            return -1 if pop is None else self._pop_code[pop]
+        if len(route.egress_pops) == 1:
+            return self._pop_code[route.egress_pops[0]]
+        index = len(self._multihomed)
+        self._multihomed.append(tuple(route.egress_pops))
+        return -2 - index
 
     def _egress_codes(self, batch: RecordBatch,
                       ingress: np.ndarray) -> np.ndarray:
         mask = 0xFFFFFFFF & ~((1 << self._anonymized_bits) - 1) \
             if self._anonymized_bits > 0 else 0xFFFFFFFF
         anonymized = batch.dst_addr & np.int64(mask)
-        pop_names = self._pop_names
-        bgp = self._resolver.bgp_table
-        igp = self._resolver.igp
-        dst_resolution = self._dst_resolution
-        missing = dst_resolution  # sentinel no address can map to
-
-        # Stage one, ingress-independent: one LPM per distinct anonymized
-        # destination (anonymization collapses the key space, so there are
-        # few), resolved to a final PoP code, unreachable (-1), or a
-        # multihomed marker (-2) whose hot-potato tie-break needs the
-        # ingress PoP.
-        unique_dsts, dst_inverse = np.unique(anonymized, return_inverse=True)
-        dst_codes = np.full(len(unique_dsts), -1, np.int64)
-        multihomed: Dict[int, Tuple[str, ...]] = {}
-        for i, dst in enumerate(unique_dsts):
-            dst = int(dst)
-            entry = dst_resolution.get(dst, missing)
-            if entry is missing:
-                route = bgp.lookup(dst)
-                if route is None:
-                    # Same fallback PoPResolver.resolve_egress applies:
-                    # customer prefixes absent from BGP.
-                    pop = self._resolver.ingress_table.lookup(dst)
-                    entry = None if pop is None else self._pop_code[pop]
-                elif len(route.egress_pops) == 1:
-                    entry = self._pop_code[route.egress_pops[0]]
-                else:
-                    entry = tuple(route.egress_pops)
-                dst_resolution[dst] = entry
-            if entry is None:
-                continue
-            if isinstance(entry, tuple):
-                dst_codes[i] = -2
-                multihomed[i] = entry
-            else:
-                dst_codes[i] = entry
-        codes = dst_codes[dst_inverse]
-
-        if multihomed:
-            # Stage two, only where needed: hot-potato tie-break per
-            # (candidate set, ingress) — a handful of keys total.
-            pending = np.nonzero((codes == -2) & (ingress >= 0))[0]
-            codes[(codes == -2) & (ingress < 0)] = -1
-            for index in pending:
-                entry = multihomed[int(dst_inverse[index])]
-                ingress_code = int(ingress[index])
-                hot_key = (entry, ingress_code)
-                code = self._hot_potato.get(hot_key)
-                if code is None:
-                    choice = igp.closest_pop(list(entry),
-                                             pop_names[ingress_code])
-                    if choice is None:
-                        choice = entry[0]
-                    code = self._pop_code[choice]
-                    self._hot_potato[hot_key] = code
-                codes[index] = code
+        # Stage one, ingress-independent: one LPM per anonymized
+        # destination never seen before (anonymization collapses the key
+        # space, so there are few), resolved to a final PoP code,
+        # unreachable (-1), or a multihomed marker (<= -2) whose
+        # hot-potato tie-break needs the ingress PoP.
+        codes = self._dst_codes.codes(anonymized, self._dst_pop_code)
+        multihomed = codes <= -2
+        if not multihomed.any():
+            return codes
+        # Stage two, only where needed: hot-potato tie-break once per
+        # distinct (destination, ingress) pair.
+        codes[multihomed & (ingress < 0)] = -1
+        pending = multihomed & (ingress >= 0)
+        codes[pending] = self._hot_potato.codes(
+            (-2 - codes[pending]) * self._n_pops + ingress[pending],
+            self._hot_potato_code)
         return codes
+
+    def _hot_potato_code(self, pair: int) -> int:
+        index, ingress_code = divmod(pair, self._n_pops)
+        candidates = self._multihomed[index]
+        choice = self._resolver.igp.closest_pop(
+            list(candidates), self._pop_names[ingress_code])
+        if choice is None:
+            choice = candidates[0]
+        return self._pop_code[choice]
 
     # ------------------------------------------------------------------ #
     # accumulation

@@ -13,19 +13,37 @@ The schema mirrors a NetFlow-style CSV export, one record per line::
 * ``router``: name of the exporting router, empty when unknown.
 
 Real exports are dirty — files get concatenated (stray header lines
-mid-file), fields go missing, counters come back ``NaN``.  Parsing is
-batch-vectorized through numpy with an explicit policy: a batch is parsed
-column-wise in one shot, and only when that fails (a malformed or header
-row somewhere in the batch) does the parser drop to per-line
-classification of exactly that batch.  ``pandas.read_csv`` can be chosen
-as the engine where pandas is installed (it only walks the file; numeric
-conversion still runs through the shared fast path, keeping parity
-engine-independent); the numpy path is the dependency-free reference.
+mid-file), fields go missing, counters come back ``NaN``.  The file is
+read in blocks of about ``batch_rows`` lines, and each block walks a
+fallback ladder until a tier accepts it:
+
+1. Header and blank lines are peeled off the block (only when present:
+   a clean block is not rewritten).
+2. ``np.loadtxt`` converts the whole block in numpy's C tokenizer, with a
+   structured dtype (five int64 fields, four float64 fields, the router
+   name as ``str``).  Its float64 conversion is the correctly rounded
+   one ``float()`` uses, so ``repr``-written values come back bit for
+   bit.
+3. If loadtxt rejects the block, it is retried once with the two address
+   fields as text, converted by :func:`_parse_addresses` — dotted-quad
+   exports stay vectorized.
+4. Anything still rejected (ragged rows, a stray token, ``1_000`` — which
+   ``int()`` accepts and loadtxt does not) drops to the per-line parser
+   for that block only, :func:`_batch_line_fallback`.  It is the
+   reference every vectorized tier is tested against.  The one known
+   difference: it strips spaces around a router name, which the
+   vectorized tiers keep (as they always have).
+
+Validation and the dirty-row policy are applied to the converted
+columns by one set of masks.  ``pandas.read_csv`` can be chosen as the
+engine where pandas is installed (it only walks the file; conversion
+still runs through the same ladder, keeping parity engine-independent);
+the numpy path is the dependency-free reference.
 """
 
 from __future__ import annotations
 
-import itertools
+import collections
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
@@ -147,37 +165,57 @@ def export_flow_csv(records: Iterable[FlowRecord], path,
 # --------------------------------------------------------------------- #
 # parsing — numpy engine
 # --------------------------------------------------------------------- #
-def _parse_addresses(values: List[str], n: int) -> np.ndarray:
+#: Structured dtype of one parsed block: numpy's C tokenizer converts the
+#: numeric fields, the router name stays a Python ``str``.
+_BLOCK_DTYPE = np.dtype(
+    [(name, np.int64) for name in FLOW_CSV_COLUMNS[:5]]
+    + [(name, np.float64) for name in FLOW_CSV_COLUMNS[5:9]]
+    + [(FLOW_CSV_COLUMNS[9], object)])
+#: The same with both address fields left as text (dotted-quad exports).
+_BLOCK_DTYPE_TEXT_ADDRESSES = np.dtype(
+    [(name, object) for name in FLOW_CSV_COLUMNS[:2]]
+    + _BLOCK_DTYPE.descr[2:])
+
+
+def _parse_addresses(values: np.ndarray) -> np.ndarray:
     """Integer addresses from string fields (dotted-quad tolerated)."""
     try:
         return np.array(values, np.int64)
     except ValueError:
         return np.fromiter(
             (parse_ipv4(s) if "." in s else int(s) for s in values),
-            np.int64, n)
+            np.int64, len(values))
 
 
-def _batch_fast_path(fields: List[str], n: int, on_bad_row: str):
-    """Whole-batch column-wise parse of *n* rows' flat *fields* list;
-    raises ``ValueError`` on any dirt the vectorized path cannot classify
-    (the caller then re-parses the batch line by line)."""
-    if len(fields) != n * _N_COLUMNS:
-        raise ValueError("ragged batch")
-    # Columns by list slicing + fromiter(map(...)): no intermediate
-    # unicode array, the int/float parse is the only per-field pass —
-    # roughly 3x faster than np.array(fields).astype(...).
-    src = _parse_addresses(fields[0::_N_COLUMNS], n)
-    dst = _parse_addresses(fields[1::_N_COLUMNS], n)
-    src_port = np.array(fields[2::_N_COLUMNS], np.int64)
-    dst_port = np.array(fields[3::_N_COLUMNS], np.int64)
-    protocol = np.array(fields[4::_N_COLUMNS], np.int64)
-    start = np.array(fields[5::_N_COLUMNS], np.float64)
-    end = np.array(fields[6::_N_COLUMNS], np.float64)
-    byte_count = np.array(fields[7::_N_COLUMNS], np.float64)
-    packet_count = np.array(fields[8::_N_COLUMNS], np.float64)
-    router = np.empty(n, object)
-    router[:] = fields[9::_N_COLUMNS]
+def _loadtxt_columns(lines: List[str]) -> List[np.ndarray]:
+    """The ten schema columns of *lines*, converted by ``np.loadtxt``.
 
+    Raises ``ValueError`` (or ``OverflowError``) on anything the two
+    vectorized tiers cannot convert; the caller then parses line by line.
+    """
+    options = dict(delimiter=",", comments=None, quotechar=None, ndmin=1)
+    try:
+        table = np.loadtxt(lines, dtype=_BLOCK_DTYPE, **options)
+    except ValueError:
+        # Second tier: addresses as text, so a dotted-quad export stays
+        # vectorized.  Any other dirt fails here too.
+        table = np.loadtxt(lines, dtype=_BLOCK_DTYPE_TEXT_ADDRESSES,
+                           **options)
+    columns = [np.ascontiguousarray(table[name])
+               for name in FLOW_CSV_COLUMNS]
+    if columns[0].dtype == object:
+        columns[:2] = [_parse_addresses(column) for column in columns[:2]]
+    return columns
+
+
+def _select_valid(columns: List[np.ndarray], on_bad_row: str):
+    """Apply the validation and ``propagate`` masks to parsed columns.
+
+    Returns ``(batch, n_bad, n_propagated)``; raises ``ValueError`` under
+    ``on_bad_row="raise"`` when a row is bad (the caller pinpoints it)."""
+    (src, dst, src_port, dst_port, protocol,
+     start, end, byte_count, packet_count, _) = columns
+    n = src.shape[0]
     valid = ((src >= 0) & (src <= 0xFFFFFFFF)
              & (dst >= 0) & (dst <= 0xFFFFFFFF)
              & (src_port >= 0) & (src_port <= 65535)
@@ -199,16 +237,10 @@ def _batch_fast_path(fields: List[str], n: int, on_bad_row: str):
         n_propagated = 0
     n_bad = n - int(np.count_nonzero(keep))
     if n_bad and on_bad_row == "raise":
-        raise ValueError("structurally bad row")  # caller pinpoints the line
+        raise ValueError("structurally bad row")
     if n_bad:
-        src, dst = src[keep], dst[keep]
-        src_port, dst_port, protocol = src_port[keep], dst_port[keep], protocol[keep]
-        start, end = start[keep], end[keep]
-        byte_count, packet_count = byte_count[keep], packet_count[keep]
-        router = router[keep]
-    batch = RecordBatch(src, dst, src_port, dst_port, protocol,
-                        start, end, byte_count, packet_count, router)
-    return batch, n_bad, n_propagated
+        columns = [column[keep] for column in columns]
+    return RecordBatch(*columns), n_bad, n_propagated
 
 
 def _parse_line(line: str, on_bad_row: str):
@@ -284,33 +316,30 @@ def _batch_line_fallback(lines: List[str], on_bad_row: str,
     )
 
 
-def _split_batch(lines: List[str]):
-    """Flatten a batch of raw lines to ``(fields, n_rows, n_headers)``
-    in C-speed string ops, peeling header/blank lines only when present."""
-    buffer = "".join(lines)
-    if "\r" in buffer:
-        buffer = buffer.replace("\r\n", "\n").replace("\r", "\n")
+def _peel_lines(lines: List[str]):
+    """Drop header and blank lines from a block: ``(data lines, headers)``.
+
+    Clean blocks pass through as they are; only a block holding a header
+    (the leading one, or a mid-file concatenation artifact) or a blank
+    line is rewritten, so one stray header does not push the whole block
+    off the vectorized path.  A header or blank line this misses (say,
+    padded with spaces) still parses: ``np.loadtxt`` rejects the block
+    and the per-line fallback classifies it."""
+    # List membership compares whole lines: far cheaper than a substring
+    # scan of the block.
+    if _HEADER_LINE + "\n" not in lines and "\n" not in lines:
+        return lines, 0
+    kept = []
     n_headers = 0
-    if FLOW_CSV_COLUMNS[0] in buffer or "\n\n" in buffer \
-            or buffer.startswith("\n"):
-        # Header lines (the leading one and mid-file concat artifacts) and
-        # blank lines are peeled here so one stray header does not push
-        # the whole batch off the vectorized fast path.
-        kept = []
-        for line in buffer.split("\n"):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped == _HEADER_LINE:
-                n_headers += 1
-                continue
-            kept.append(stripped)
-        fields = ",".join(kept).split(",") if kept else []
-        return fields, len(kept), n_headers
-    if buffer.endswith("\n"):
-        buffer = buffer[:-1]
-    n_rows = buffer.count("\n") + 1
-    return buffer.replace("\n", ",").split(","), n_rows, 0
+    for line in lines:
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped == _HEADER_LINE:
+            n_headers += 1
+            continue
+        kept.append(stripped)
+    return kept, n_headers
 
 
 def _parse_block(lines: List[str], on_bad_row: str):
@@ -319,21 +348,22 @@ def _parse_block(lines: List[str], on_bad_row: str):
     Top-level and self-accounting so it runs identically inline and in a
     worker process (``parse_workers`` parallelism)."""
     local = ParseStats()
-    fields, n_rows, n_headers = _split_batch(lines)
-    if not n_rows:
+    data_lines, n_headers = _peel_lines(lines)
+    if not data_lines:
         local.header_rows += n_headers
         return None, local
     try:
-        batch, n_bad, n_propagated = _batch_fast_path(
-            fields, n_rows, on_bad_row)
-        local.rows += n_rows
-        local.header_rows += n_headers
-        local.bad_rows += n_bad
-        local.propagated_rows += n_propagated
-    except ValueError:
+        columns = _loadtxt_columns(data_lines)
+        batch, n_bad, n_propagated = _select_valid(columns, on_bad_row)
+    except (ValueError, OverflowError):
         # The fallback re-reads the raw lines and does its own row/header
         # accounting for this batch.
         batch = _batch_line_fallback(lines, on_bad_row, local)
+    else:
+        local.rows += columns[0].shape[0]
+        local.header_rows += n_headers
+        local.bad_rows += n_bad
+        local.propagated_rows += n_propagated
     local.records += batch.n_records
     return batch, local
 
@@ -356,16 +386,29 @@ def _read_batches_numpy(path, batch_rows: int, on_bad_row: str,
         yield from _drain_parsed(parsed, stats)
         return
     # Process-parallel parse: blocks fan out to worker processes, results
-    # come back in file order (pool.map preserves it), and the merged
-    # stats are identical to the serial pass because each block accounts
-    # for itself.  Binning stays downstream and sequential — ordering and
-    # byte-parity are untouched.
+    # come back in file order, and the merged stats are identical to the
+    # serial pass because each block accounts for itself.  At most
+    # 2 x workers blocks are in flight, so batch_rows still bounds memory
+    # and the first batch arrives without reading the whole file.
+    # Binning stays downstream and sequential — ordering and byte-parity
+    # are untouched.
     from concurrent.futures import ProcessPoolExecutor
-    from functools import partial
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from _drain_parsed(
-            pool.map(partial(_parse_block, on_bad_row=on_bad_row),
-                     blocks), stats)
+            _parse_ahead(pool, blocks, on_bad_row, depth=2 * workers),
+            stats)
+
+
+def _parse_ahead(pool, blocks, on_bad_row: str, depth: int):
+    """``_parse_block`` results in file order, with at most *depth* blocks
+    submitted to *pool* and not yet handed on."""
+    in_flight = collections.deque()
+    for lines in blocks:
+        in_flight.append(pool.submit(_parse_block, lines, on_bad_row))
+        if len(in_flight) >= depth:
+            yield in_flight.popleft().result()
+    while in_flight:
+        yield in_flight.popleft().result()
 
 
 def _drain_parsed(parsed, stats: ParseStats) -> Iterator[RecordBatch]:

@@ -180,11 +180,10 @@ def _next_generation(path: Path) -> int:
     return highest + 1
 
 
-def _write_manifest(manifest: dict, target: Path) -> None:
+def _write_manifest(text: str, target: Path) -> None:
     tmp = target.with_name(target.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, target)
@@ -226,12 +225,14 @@ def _save_checkpoint(detector: StreamingNetworkDetector,
         "arrays_file": arrays_name,
         "arrays_sha256": digest,
     }
-    # Generation manifest first, current manifest last: a crash in between
-    # leaves the previous current manifest valid and the new generation
-    # reachable through the fallback chain.
-    _write_manifest(manifest, path / f"manifest-{generation:06d}.json")
+    # One encoding (the C encoder: no indent) for both copies.  Generation
+    # manifest first, current manifest last: a crash in between leaves the
+    # previous current manifest valid and the new generation reachable
+    # through the fallback chain.
+    text = json.dumps(manifest, sort_keys=True) + "\n"
+    _write_manifest(text, path / f"manifest-{generation:06d}.json")
     _fsync_directory(path)
-    _write_manifest(manifest, path / MANIFEST_FILENAME)
+    _write_manifest(text, path / MANIFEST_FILENAME)
     _fsync_directory(path)
 
     _collect_stale_generations(path, manifest, keep_generations)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.flows.records import FiveTuple, FlowRecord
+from repro.ingest import csv_io
 from repro.ingest import (
     FLOW_CSV_COLUMNS,
     ParseStats,
@@ -211,3 +212,209 @@ def test_nan_start_time_is_structurally_bad(tmp_path):
     batches, stats = _read_all(str(path), on_bad_row="propagate")
     assert stats.bad_rows == 1 and stats.records == 0
     assert batches == []
+
+
+# --------------------------------------------------------------------- #
+# The vectorized tiers against the per-line reference
+# --------------------------------------------------------------------- #
+def _reference(text, on_bad_row):
+    """Columns and stats of the per-line parser over the whole text."""
+    stats = ParseStats(engine="numpy")
+    batch = csv_io._batch_line_fallback(text.splitlines(keepends=True),
+                                        on_bad_row, stats)
+    stats.records = batch.n_records
+    return batch, stats
+
+
+def _assert_same_columns(batches, reference):
+    for name in FLOW_CSV_COLUMNS:
+        column = np.concatenate([getattr(b, name) for b in batches]) \
+            if batches else np.empty(0, getattr(reference, name).dtype)
+        expected = getattr(reference, name)
+        assert column.dtype == expected.dtype, name
+        if column.dtype.kind == "f":  # bitwise: NaN, -0.0, subnormals
+            column, expected = column.view(np.int64), expected.view(np.int64)
+        assert column.tolist() == expected.tolist(), name
+
+
+def _random_rows(rng, n):
+    """Rows of seeded random values written the way exports write them:
+    doubles with ``repr`` (bit patterns drawn uniformly, so every exponent
+    and subnormals occur), ints across and just past their field ranges
+    and at the int64 bounds."""
+    def double():
+        value = float(rng.integers(0, 2**64, dtype=np.uint64)
+                      .view(np.float64))
+        return value if np.isfinite(value) else float(rng.normal())
+
+    specials = [0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, 0.1, 1e23, 2.0**53 + 1.0]
+    int_values = {
+        "addr": [0, 1, 0xFFFFFFFF, 0x100000000, -1, 2**63 - 1, -2**63],
+        "port": [0, 65535, 65536, -1],
+        "protocol": [0, 255, 256],
+    }
+    rows = []
+    for i in range(n):
+        times = sorted(abs(double()) if rng.random() < 0.5
+                       else float(rng.uniform(0, 1e6)) for _ in range(2))
+        if rng.random() < 0.05:
+            times.reverse()
+        counts = [specials[rng.integers(len(specials))]
+                  if rng.random() < 0.2 else abs(double())
+                  for _ in range(2)]
+        if rng.random() < 0.05:
+            counts[0] = -counts[0] - 1.0
+        pick = {kind: values[rng.integers(len(values))]
+                if rng.random() < 0.1 else None
+                for kind, values in int_values.items()}
+        rows.append(",".join((
+            str(pick["addr"] if pick["addr"] is not None
+                else int(rng.integers(0, 2**32))),
+            str(int(rng.integers(0, 2**32))),
+            str(pick["port"] if pick["port"] is not None
+                else int(rng.integers(0, 65536))),
+            str(int(rng.integers(0, 65536))),
+            str(pick["protocol"] if pick["protocol"] is not None
+                else int(rng.integers(0, 256))),
+            repr(times[0]), repr(times[1]),
+            repr(counts[0]), repr(counts[1]),
+            f"r{i % 5}" if i % 7 else "",
+        )))
+    return rows
+
+
+def _dirty_text(rows):
+    """*rows* with every kind of dirt the fallback ladder must absorb."""
+    header = ",".join(FLOW_CSV_COLUMNS)
+    dirty = list(rows)
+    dirty.insert(0, header)
+    dirty.insert(len(dirty) // 2, header)           # concatenated export
+    dirty.insert(5, "")                             # blank line
+    dirty.insert(9, "   ")                          # whitespace-only line
+    dirty.insert(13, "10.0.0.1,192.168.0.1,1,2,6,0,1,10,1,r1")
+    dirty.insert(17, "1,2,1_000,2,6,0,1,10,1,r1")   # int() accepts it
+    dirty.insert(21, "1,2,3,4,6,0,1,10,1")          # ragged: 9 fields
+    dirty.insert(25, "1,2,3,4,6,0,1,10,1,r1,extra")  # ragged: 11 fields
+    dirty.insert(29, "1,2,3,4,6,0,1,nan,1,r1")      # NaN count
+    dirty.insert(33, "99999999999999999999,2,3,4,6,0,1,10,1,r1")
+    return dirty
+
+
+class TestVectorizedParseMatchesLineReference:
+    @pytest.fixture()
+    def rows(self):
+        return _random_rows(np.random.default_rng(15), 600)
+
+    @pytest.mark.parametrize("on_bad_row", ["skip", "propagate"])
+    @pytest.mark.parametrize("dirty", [False, True])
+    @pytest.mark.parametrize("batch_rows", [4, 64, 8192])
+    def test_columns_and_stats_equal_the_reference(
+            self, tmp_path, rows, on_bad_row, dirty, batch_rows):
+        lines = _dirty_text(rows) if dirty else rows
+        text = "\n".join(lines) + "\n"
+        path = tmp_path / "flows.csv"
+        path.write_text(text)
+        batches, stats = _read_all(str(path), batch_rows=batch_rows,
+                                   on_bad_row=on_bad_row)
+        reference, reference_stats = _reference(text, on_bad_row)
+        assert reference_stats.bad_rows > 0  # the random rows include dirt
+        _assert_same_columns(batches, reference)
+        assert stats == reference_stats
+
+    def test_raise_policy_equals_the_reference(self, tmp_path, rows):
+        clean = [row for row in rows
+                 if csv_io._batch_line_fallback(
+                     [row], "skip", ParseStats()).n_records]
+        path = tmp_path / "clean.csv"
+        path.write_text("\n".join(clean) + "\n")
+        batches, stats = _read_all(str(path), batch_rows=16,
+                                   on_bad_row="raise")
+        reference, reference_stats = _reference(path.read_text(), "raise")
+        _assert_same_columns(batches, reference)
+        assert stats == reference_stats
+
+        path.write_text("\n".join(_dirty_text(clean)) + "\n")
+        with pytest.raises(ValueError, match="bad flow-record row"):
+            _read_all(str(path), batch_rows=16, on_bad_row="raise")
+        with pytest.raises(ValueError, match="bad flow-record row"):
+            _reference(path.read_text(), "raise")
+
+    def test_crlf_lines_parse_like_lf_lines(self, rows):
+        lf = [row + "\n" for row in _dirty_text(rows)]
+        crlf = [row + "\r\n" for row in _dirty_text(rows)]
+        for on_bad_row in ("skip", "propagate"):
+            lf_batch, lf_stats = csv_io._parse_block(lf, on_bad_row)
+            crlf_batch, crlf_stats = csv_io._parse_block(crlf, on_bad_row)
+            _assert_same_columns([crlf_batch], lf_batch)
+            assert crlf_stats == lf_stats
+
+    def test_clean_blocks_never_reach_the_line_fallback(
+            self, tmp_path, rows, monkeypatch):
+        calls = []
+        fallback = csv_io._batch_line_fallback
+
+        def counting(lines, *args):
+            calls.append(len(lines))
+            return fallback(lines, *args)
+
+        monkeypatch.setattr(csv_io, "_batch_line_fallback", counting)
+        header = ",".join(FLOW_CSV_COLUMNS)
+        clean = [row for row in rows if fallback([row], "skip",
+                                                  ParseStats()).n_records]
+        dotted = ["10.0.0.1,192.168.0.1,1,2,6,0,1,10,1,r1"] * 50
+        # A leading header, a mid-file header and a blank line are peeled;
+        # dotted-quad addresses take the second vectorized tier.
+        text = "\n".join([header] + clean[:300] + ["", header]
+                         + clean[300:] + dotted) + "\n"
+        path = tmp_path / "flows.csv"
+        path.write_text(text)
+        for batch_rows in (4, 64, 8192):
+            batches, stats = _read_all(str(path), batch_rows=batch_rows)
+            assert calls == []
+            assert stats.records == len(clean) + len(dotted)
+            assert stats.header_rows == 2
+        monkeypatch.undo()
+        reference, _ = _reference(text, "skip")
+        _assert_same_columns(batches, reference)
+        # Dirt does reach it.
+        monkeypatch.setattr(csv_io, "_batch_line_fallback", counting)
+        path.write_text("\n".join(clean + ["1,2,1_000,2,6,0,1,10,1,r1"]))
+        _read_all(str(path))
+        assert len(calls) == 1
+
+
+class TestBoundedParseAhead:
+    def test_first_batch_arrives_before_the_whole_file_is_read(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "big.csv"
+        export_flow_csv(
+            [FlowRecord(FiveTuple(i + 1, 2 * i + 1, 1, 80, 6),
+                        float(i), float(i) + 0.5, 100.0, 1.0,
+                        observing_router="r1")
+             for i in range(3000)],
+            path)
+        drawn = []
+        blocks = csv_io._iter_line_blocks
+
+        def counting(*args):
+            for lines in blocks(*args):
+                drawn.append(len(lines))
+                yield lines
+
+        monkeypatch.setattr(csv_io, "_iter_line_blocks", counting)
+        workers = 2
+        stats = ParseStats()
+        reader = read_flow_batches(str(path), batch_rows=2, workers=workers,
+                                   stats=stats)
+        try:
+            first = next(reader)
+            assert first.n_records > 0
+            assert len(drawn) <= 2 * workers + 1
+            rest = list(reader)
+        finally:
+            reader.close()
+        assert len(drawn) > 10 * (2 * workers + 1)
+        assert first.n_records + sum(b.n_records for b in rest) == 3000
+        _, serial = _read_all(str(path), batch_rows=2)
+        assert stats == serial

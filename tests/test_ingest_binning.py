@@ -11,12 +11,16 @@ import numpy as np
 import pytest
 
 from repro.flows.aggregation import aggregate_records
+from repro.flows.records import FiveTuple, FlowRecord
 from repro.flows.timeseries import TrafficType
-from repro.ingest import FlowRecordBinner
+from repro.ingest import BinningStats, FlowRecordBinner
 from repro.ingest.csv_io import RecordBatch
+from repro.routing.bgp import BGPTable
+from repro.routing.prefixes import Prefix
 from repro.routing.resolver import PoPResolver
 from repro.telemetry import MetricsRegistry
 from repro.traffic.flowgen import FlowSynthesizer
+from repro.utils.timebins import TimeBinning
 
 BIN_SECONDS = 300
 
@@ -269,3 +273,89 @@ class TestWatermark:
         binner.finish()
         assert registry.value("ingest_records_total") == 4
         assert registry.value("ingest_records_binned_total") == 4
+
+
+class TestResolutionCaches:
+    """The binner's array-held resolution caches against the per-record
+    resolver: multihomed destinations (hot-potato per ingress PoP),
+    unknown and empty router names (source-address fallback), unresolved
+    sources and unreachable destinations, with batch sizes that make the
+    caches grow mid-stream and keys arrive out of order."""
+
+    N_BINS = 12
+
+    @pytest.fixture(scope="class")
+    def cache_resolver(self, abilene):
+        # Beyond CALREN (LOSA/SNVA), announce extra prefixes from three
+        # PoPs each so the hot-potato choice varies with the ingress PoP.
+        bgp = BGPTable.from_customers(abilene)
+        bgp.announce("10.200.0.0/16", ("NYCM", "LOSA", "HSTN"))
+        bgp.announce("10.201.0.0/16", ("SNVA", "WASH", "KSCY"))
+        return PoPResolver(abilene, bgp_table=bgp)
+
+    @pytest.fixture(scope="class")
+    def cache_records(self, abilene):
+        rng = np.random.default_rng(2024)
+        customer_prefixes = [Prefix.parse(text)
+                             for customer in abilene.customers
+                             for text in customer.prefixes]
+        destinations = customer_prefixes + [
+            Prefix.parse("10.200.0.0/16"), Prefix.parse("10.201.0.0/16"),
+            Prefix.parse("10.108.0.0/16")]  # the multihomed CALREN
+        unrouted = Prefix.parse("203.0.113.0/24")  # in no table at all
+        routers = [r.name for r in abilene.routers] + ["", "no-such-router"]
+
+        def address_in(prefix):
+            span = 1 << (32 - prefix.length)
+            return prefix.network + int(rng.integers(0, span))
+
+        records = []
+        for _ in range(1500):
+            src_prefix = (unrouted if rng.random() < 0.1 else
+                          customer_prefixes[rng.integers(len(customer_prefixes))])
+            dst_prefix = (unrouted if rng.random() < 0.1 else
+                          destinations[rng.integers(len(destinations))])
+            # Few distinct sources, so the source cache sees repeats.
+            src = address_in(src_prefix) & ~0xFF
+            start = float(rng.uniform(0, self.N_BINS * BIN_SECONDS))
+            records.append(FlowRecord(
+                FiveTuple(src, address_in(dst_prefix),
+                          int(rng.integers(1024, 65536)), 80, 6),
+                start, start + float(rng.uniform(0, 60)),
+                float(rng.uniform(40, 1e6)), float(rng.integers(1, 1000)),
+                observing_router=routers[rng.integers(len(routers))]))
+        return records
+
+    @pytest.mark.parametrize("batch_rows", [1, 7, 4096])
+    def test_chunks_match_resolver_and_aggregator_bitwise(
+            self, cache_resolver, cache_records, od_pairs, batch_rows):
+        binning = TimeBinning(n_bins=self.N_BINS, bin_seconds=BIN_SECONDS)
+        resolved, resolution = cache_resolver.resolve_records(cache_records)
+        direct = aggregate_records(resolved, od_pairs, binning)
+        # Every resolution branch is exercised.
+        assert resolution.unresolved_ingress > 0
+        assert resolution.unresolved_egress > 0
+        for text in ("10.200.0.0/16", "10.201.0.0/16"):
+            prefix = Prefix.parse(text)
+            assert len({r.egress_pop for r in resolved
+                        if prefix.contains(r.dst_address)}) > 1, text
+
+        binner = FlowRecordBinner(
+            cache_resolver, od_pairs, chunk_size=5, bin_seconds=BIN_SECONDS,
+            n_bins=self.N_BINS, lateness_bins=self.N_BINS)
+        chunks = []
+        for start in range(0, len(cache_records), batch_rows):
+            chunks.extend(binner.add_batch(_batch_from_records(
+                cache_records[start:start + batch_rows])))
+        chunks.extend(binner.finish())
+
+        stats = binner.stats
+        assert stats == BinningStats(
+            records=len(cache_records), binned=len(resolved),
+            unresolved_ingress=resolution.unresolved_ingress,
+            unresolved_egress=resolution.unresolved_egress)
+        for traffic_type in (TrafficType.BYTES, TrafficType.PACKETS,
+                             TrafficType.FLOWS):
+            assert np.array_equal(
+                _stacked(chunks, traffic_type).view(np.int64),
+                direct.matrix(traffic_type).view(np.int64)), traffic_type

@@ -361,6 +361,62 @@ class TestCheckpointLineage:
             save_checkpoint(foreign, path)
 
 
+class TestManifestLayout:
+    """Each save encodes its manifest once and writes the same bytes to
+    the generation and current manifests; manifests written in the older
+    indented layout still restore and pass the lineage and generation
+    checks."""
+
+    def _run(self, small_dataset, live_config, directory, saves=(2, 3)):
+        detector = StreamingNetworkDetector(live_config)
+        for index, chunk in enumerate(_chunks(small_dataset)[:max(saves)],
+                                      start=1):
+            detector.process_chunk(chunk)
+            if index in saves:
+                save_checkpoint(detector, directory)
+        return detector
+
+    def test_one_save_writes_byte_identical_manifests(
+            self, small_dataset, live_config, tmp_path):
+        directory = tmp_path / "ckpt"
+        self._run(small_dataset, live_config, directory)
+        current = (directory / MANIFEST_FILENAME).read_bytes()
+        newest = directory / f"manifest-{newest_generation(directory):06d}.json"
+        assert newest.read_bytes() == current
+        assert current.endswith(b"\n") and current.count(b"\n") == 1
+
+    def test_indented_manifests_restore_and_keep_lineage(
+            self, small_dataset, live_config, tmp_path):
+        directory = tmp_path / "ckpt"
+        original = self._run(small_dataset, live_config, directory)
+        manifests = sorted(directory.glob("manifest*.json"))
+        assert len(manifests) == 3  # current + two generations
+        for manifest_path in manifests:
+            manifest = json.loads(manifest_path.read_text())
+            with open(manifest_path, "w", encoding="utf-8") as handle:
+                json.dump(manifest, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+
+        restored = load_checkpoint(directory)
+        assert restored.run_id == original.run_id
+        assert restored.report.to_dict() == original.report.to_dict()
+        assert load_checkpoint(directory, fallback=True).run_id \
+            == original.run_id
+
+        # Lineage check: a foreign run is still refused...
+        foreign = StreamingNetworkDetector(live_config)
+        foreign.process_chunk(_chunks(small_dataset)[0])
+        with pytest.raises(ValueError, match="different detector run"):
+            save_checkpoint(foreign, directory)
+        # ...and the owning run continues the generation chain.
+        assert newest_generation(directory) == 2
+        restored.process_chunk(_chunks(small_dataset)[3])
+        save_checkpoint(restored, directory)
+        assert newest_generation(directory) == 3
+        assert load_checkpoint(directory).report.n_bins_processed \
+            == 4 * CHUNK
+
+
 class TestGenerationsAndFallback:
     """Fallback chains: keep N verified generations, walk back past rot."""
 
