@@ -4,9 +4,12 @@
 Three recovery paths, each ending in exact parity with an undisturbed
 run (the invariants ``tests/test_chaos.py`` enforces in CI):
 
-1. a shard worker is **killed** mid-stream and the
-   :class:`~repro.streaming.parallel.WorkerSupervisor` restarts it from
-   the last good checkpoint, replaying the suffix — identical events;
+1. the :class:`~repro.service.DetectionService` **crashes** mid-stream,
+   between two periodic checkpoints, and a fresh service on the same
+   store and checkpoint directory resumes from the newest generation —
+   the replayed suffix is absorbed by the idempotent store, whose event
+   table ends byte-identical to an undisturbed run's (``tests/test_chaos.py``
+   does the same with a real SIGKILL of the service CLI);
 2. the newest checkpoint generation is **truncated** (a torn write) and
    ``load_checkpoint(fallback=True)`` quarantines the damaged files and
    restores the previous verified generation — identical events after
@@ -24,15 +27,14 @@ from pathlib import Path
 
 from repro.datasets import DatasetConfig, generate_abilene_dataset
 from repro.evaluation import event_parity
-from repro.faults import FaultPlan, corrupt_checkpoint
+from repro.faults import corrupt_checkpoint
+from repro.service import DetectionService, EventStore
 from repro.streaming import (
     ChunkedSeriesSource,
     StreamingConfig,
     StreamingNetworkDetector,
-    WorkerSupervisor,
     chunk_series,
     load_checkpoint,
-    parallel_stream_detect,
     save_checkpoint,
 )
 from repro.streaming.hierarchy import HierarchicalNetworkDetector
@@ -42,6 +44,18 @@ CHUNK = 48
 SEED = 11
 
 
+class _Crash(Exception):
+    """Stands in for the process dying mid-stream."""
+
+
+def _crash_after(source, n_chunks):
+    """*source*'s chunks, then a crash instead of chunk ``n_chunks + 1``."""
+    for index, chunk in enumerate(source):
+        if index == n_chunks:
+            raise _Crash(f"crashed after {n_chunks} chunks")
+        yield chunk
+
+
 def main() -> None:
     dataset = generate_abilene_dataset(DatasetConfig(weeks=2.0 / 7.0),
                                        seed=SEED)
@@ -49,25 +63,39 @@ def main() -> None:
     print(f"dataset: {series.n_bins} bins x {series.n_od_pairs} OD pairs")
 
     # ------------------------------------------------------------------ #
-    # 1. Worker killed mid-stream: supervised restart, event parity.
+    # 1. Service crash between checkpoints: restart, identical table.
     # ------------------------------------------------------------------ #
     config = StreamingConfig(min_train_bins=128, recalibrate_every_bins=32)
     source = ChunkedSeriesSource(series, CHUNK)
-    baseline = parallel_stream_detect(source, config, n_workers=2)
-    print(f"undisturbed run:   {baseline.n_events} events")
+    reference_store = EventStore()
+    DetectionService(config, store=reference_store).run(source)
+    print(f"undisturbed run:   {reference_store.count()} events stored")
 
-    plan = FaultPlan().kill_worker(at_chunk=8, worker=0)
-    print("fault plan:        " + "; ".join(plan.describe()))
-    registry = MetricsRegistry()
     with tempfile.TemporaryDirectory() as tmp:
-        supervisor = WorkerSupervisor(
-            config, source, n_workers=2,
-            checkpoint_dir=Path(tmp) / "ckpt", checkpoint_every_chunks=3,
-            max_restarts=2, registry=registry, fault_hook=plan.hook)
-        report = supervisor.run()
-    parity = event_parity(baseline.events, report.events)
-    print(f"supervised run:    {report.n_events} events after "
-          f"{supervisor.restarts} restart(s), exact parity: {parity.exact}")
+        store_path = Path(tmp) / "events.sqlite"
+        checkpoint_dir = Path(tmp) / "ckpt"
+        service = DetectionService(
+            config, store=EventStore(store_path),
+            checkpoint_dir=checkpoint_dir, checkpoint_every_chunks=3)
+        try:
+            service.run(_crash_after(source, 8))
+        except _Crash as crash:
+            print(f"service crash:     {crash}; "
+                  f"{service.store.count()} events already stored")
+        service.close()
+
+        restarted = DetectionService(
+            config, store=EventStore(store_path),
+            checkpoint_dir=checkpoint_dir, checkpoint_every_chunks=3)
+        print(f"restart:           resumes at bin {restarted.resume_bin} "
+              f"(the newest checkpoint generation)")
+        restarted.run(source)  # positioned at resume_bin by the service
+        identical = (restarted.store.table_digest()
+                     == reference_store.table_digest())
+        print(f"restarted run:     {restarted.store.count()} events stored, "
+              f"byte-identical event table: {identical}")
+        restarted.close()
+    reference_store.close()
 
     # ------------------------------------------------------------------ #
     # 2. Torn checkpoint write: fallback to the previous generation.

@@ -1,18 +1,13 @@
 #!/usr/bin/env python
 """The distributed ingestion plane, end to end.
 
-Builds on ``examples/streaming_checkpoint.py`` with the pieces that spread
-one live diagnosis over processes and sites:
+Builds on ``examples/streaming_checkpoint.py`` with the two pieces that
+feed one live diagnosis from many sites:
 
-1. **shard-parallel workers** over the shared-memory chunk bus
-   (``parallel_stream_detect``): each worker owns one column shard of
-   *every* per-type detector, so the speedup follows the worker count —
-   with the identical event list, and periodic checkpoints that restore
-   as ordinary flat detectors;
-2. an **asyncio feed** (``AsyncChunkSource``): an async producer pushes
+1. an **asyncio feed** (``AsyncChunkSource``): an async producer pushes
    chunks with bounded backpressure and watermarks while the synchronous
    driver consumes them unchanged;
-3. a **2-PoP hierarchy** (``HierarchicalNetworkDetector``): each PoP
+2. a **2-PoP hierarchy** (``HierarchicalNetworkDetector``): each PoP
    ingests only its own chunks, the global detector folds the per-PoP
    moment engines with the exact parallel-moments merge — event-identical
    to the flat run — and **checkpointing the hierarchy checkpoints the
@@ -37,7 +32,6 @@ from repro.streaming import (
     StreamingConfig,
     StreamingNetworkDetector,
     chunk_series,
-    parallel_stream_detect,
     stream_detect,
 )
 
@@ -57,23 +51,7 @@ def main() -> None:
     print(f"baseline live run:    {baseline.n_events} events")
 
     # ------------------------------------------------------------------ #
-    # 1. Shard-parallel workers over the shared-memory bus, with periodic
-    #    checkpoints of the assembled (flat) state.
-    # ------------------------------------------------------------------ #
-    with tempfile.TemporaryDirectory() as tmp:
-        checkpoint_dir = Path(tmp) / "shard-ckpt"
-        sharded = parallel_stream_detect(
-            chunk_series(series, CHUNK), config, n_workers=4,
-            checkpoint_dir=checkpoint_dir, checkpoint_every_chunks=4)
-        resumed = StreamingNetworkDetector.restore(checkpoint_dir)
-        print(f"K=4 shard workers:    {sharded.n_events} events, "
-              f"exact parity: "
-              f"{event_parity(baseline.events, sharded.events).exact}; "
-              f"last checkpoint restores at chunk "
-              f"{resumed.report.n_chunks_processed} as a flat detector")
-
-    # ------------------------------------------------------------------ #
-    # 2. Asyncio feed: an async producer with bounded backpressure and
+    # 1. Asyncio feed: an async producer with bounded backpressure and
     #    watermarks, the same synchronous driver on the consuming side.
     # ------------------------------------------------------------------ #
     source = AsyncChunkSource(maxsize=4)
@@ -94,7 +72,7 @@ def main() -> None:
           f"(consumed watermark {source.consumed_watermark} bins)")
 
     # ------------------------------------------------------------------ #
-    # 3. Two-PoP hierarchy: local ingestion, merged global model, and a
+    # 2. Two-PoP hierarchy: local ingestion, merged global model, and a
     #    checkpoint of the merged state that resumes as a flat run.
     # ------------------------------------------------------------------ #
     chunks = list(chunk_series(series, CHUNK))

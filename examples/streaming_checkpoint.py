@@ -1,16 +1,19 @@
 #!/usr/bin/env python
-"""Restartable and parallel streaming diagnosis.
+"""Restartable streaming diagnosis.
 
-Builds on ``examples/streaming_quickstart.py`` with the two scale-out
-pieces of the streaming subsystem:
+Builds on ``examples/streaming_quickstart.py`` with the streaming
+subsystem's one recovery mechanism, the checkpoint:
 
 1. a **checkpoint/restore** cycle: the detector is stopped mid-stream,
    persisted to an npz + JSON-manifest directory, restored, and fed the
    remaining chunks by resuming the source at the checkpoint's bin —
    emitting the identical remaining events;
-2. the **multi-process driver** with bounded (backpressure-aware) queues:
-   each worker owns a column shard of the moments of every traffic type,
-   and the run emits the identical event list.
+2. a **crash between periodic checkpoints**: the detector checkpoints
+   every few chunks (each save appends a generation to the fallback
+   chain), dies without a final save, and the newest generation
+   restores and replays the lost chunks — again the identical events.
+   ``DetectionService`` runs exactly this cycle around a durable event
+   store (see ``examples/service_run.py`` and ``examples/chaos_run.py``).
 
 Run with::
 
@@ -27,7 +30,8 @@ from repro.streaming import (
     StreamingConfig,
     StreamingNetworkDetector,
     chunk_series,
-    parallel_stream_detect,
+    load_checkpoint,
+    save_checkpoint,
     stream_detect,
 )
 
@@ -57,7 +61,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         checkpoint_dir = Path(tmp) / "ckpt"
         detector.save(checkpoint_dir)
-        kinds = sorted("manifest.json" if p.name == "manifest.json"
+        kinds = sorted(p.name if p.name.startswith("manifest")
                        else "state-<sha256>.npz"
                        for p in checkpoint_dir.iterdir())
         print(f"checkpoint after {split * CHUNK} bins: {kinds}")
@@ -71,12 +75,29 @@ def main() -> None:
           f"{event_parity(baseline.events, report.events).exact}")
 
     # ------------------------------------------------------------------ #
-    # 2. Multi-process driver: one column shard per worker, bounded queues.
+    # 2. Periodic checkpoints, a crash between two of them, and a restore
+    #    from the newest generation of the chain.
     # ------------------------------------------------------------------ #
-    parallel = parallel_stream_detect(chunk_series(series, CHUNK),
-                                      config, n_workers=3, queue_depth=4)
-    print(f"parallel run:      {parallel.n_events} events, exact parity: "
-          f"{event_parity(baseline.events, parallel.events).exact}")
+    detector = StreamingNetworkDetector(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoint_dir = Path(tmp) / "ckpt"
+        for index, chunk in enumerate(chunks[:10], start=1):
+            detector.process_chunk(chunk)
+            if index % 3 == 0:
+                save_checkpoint(detector, checkpoint_dir)
+        del detector  # the crash: chunk 10 was never checkpointed
+        generations = sorted(p.name for p in checkpoint_dir.iterdir()
+                             if p.name.startswith("manifest-"))
+        print(f"generation chain:  {generations}")
+
+        restored = load_checkpoint(checkpoint_dir, fallback=True)
+        resume_bin = restored.report.n_bins_processed
+        for chunk in ChunkedSeriesSource(series, CHUNK).resume(resume_bin):
+            restored.process_chunk(chunk)
+        report = restored.finish()
+    print(f"crash + restore:   resumed at bin {resume_bin}, "
+          f"{report.n_events} events, exact parity: "
+          f"{event_parity(baseline.events, report.events).exact}")
 
 
 if __name__ == "__main__":

@@ -1,18 +1,14 @@
 #!/usr/bin/env python
-"""A monitored shard-parallel streaming run: metrics, traces, health.
+"""A monitored streaming run: metrics, traces, health.
 
-Enables the telemetry plane (``StreamingConfig(telemetry=True)``) on the
-multi-process shard driver and walks the three surfaces it produces:
+Enables the telemetry plane (``StreamingConfig(telemetry=True)``) on
+``stream_detect`` and walks the three surfaces it produces:
 
-1. the **merged health snapshot** — every worker ships its metrics
-   registry back over the result pipe; the coordinator folds them with
-   the same merge algebra as the sharded moments, so per-worker chunk
-   counts, stage latency histograms, and recalibration counters all land
-   in one JSON file that reconciles exactly with the run's
-   ``StreamingReport``;
-2. the **trace files** — sampled per-chunk spans (ingest → center →
-   update → detect → aggregate) as JSON lines, one file per process
-   (the coordinator's plus one ``.shard-K`` suffix per worker);
+1. the **health snapshot** — stage latency histograms, event and
+   recalibration counters, all in one JSON file that reconciles exactly
+   with the run's ``StreamingReport``;
+2. the **trace file** — sampled per-chunk spans (ingest → center →
+   update → detect → aggregate) as JSON lines;
 3. the **renderings** — the status table and Prometheus exposition that
    ``tools/status.py`` serves from the snapshot file.
 
@@ -34,7 +30,6 @@ from repro.evaluation import event_parity
 from repro.streaming import (
     StreamingConfig,
     chunk_series,
-    parallel_stream_detect,
     stream_detect,
 )
 from repro.telemetry import (
@@ -44,7 +39,6 @@ from repro.telemetry import (
 )
 
 CHUNK = 48
-N_WORKERS = 3
 
 
 def main() -> None:
@@ -68,39 +62,33 @@ def main() -> None:
         )
 
         # ---------------------------------------------------------- #
-        # Monitored shard-parallel run: K workers each own a column
-        # shard of every per-type detector; each also owns a metrics
-        # registry it ships back when the stream ends.
+        # Monitored run: the same driver, with a metrics registry and
+        # a sampled tracer threaded through every stage.
         # ---------------------------------------------------------- #
-        report = parallel_stream_detect(
-            chunk_series(series, CHUNK), config,
-            n_workers=N_WORKERS)
+        report = stream_detect(chunk_series(series, CHUNK), config)
         parity = event_parity(plain.events, report.events)
-        print(f"monitored shard run: {report.n_events} events, "
+        print(f"monitored run: {report.n_events} events, "
               f"{report.bins_per_second:,.0f} bins/sec, "
               f"exact parity with unmonitored run: {parity.exact}")
 
         # ---------------------------------------------------------- #
-        # 1. The merged snapshot reconciles with the report exactly.
+        # 1. The snapshot reconciles with the report exactly.
         # ---------------------------------------------------------- #
         snapshot = HealthSnapshot.read(config.telemetry_snapshot_path)
         print(f"\nsnapshot: {snapshot.bins_processed} bins, "
               f"{snapshot.events_total} events, "
               f"{snapshot.recalibrations} recalibrations")
-        print(f"per-worker chunk counts: {snapshot.workers}")
+        print(f"stages timed: {sorted(snapshot.stage_seconds)}")
         assert snapshot.bins_processed == report.n_bins_processed
         assert snapshot.events_total == report.n_events
 
         # ---------------------------------------------------------- #
-        # 2. Trace spans: the coordinator's file plus one per worker.
+        # 2. Trace spans of the sampled chunks.
         # ---------------------------------------------------------- #
-        trace_files = sorted(p.name for p in tmp_path.iterdir()
-                             if p.name.startswith("trace.jsonl"))
-        print(f"\ntrace files: {trace_files}")
         with open(config.telemetry_trace_path, encoding="utf-8") as handle:
             spans = [json.loads(line) for line in handle]
         slowest = max(spans, key=lambda s: s["duration_seconds"])
-        print(f"coordinator spans: {len(spans)}; slowest: "
+        print(f"\nsampled spans: {len(spans)}; slowest: "
               f"{slowest['stage']} @ {slowest['duration_seconds'] * 1e3:.2f} ms"
               f" (chunk {slowest.get('chunk', '-')})")
 

@@ -59,7 +59,6 @@ from repro.streaming import (
     TrafficChunk,
     as_chunk_source,
     load_checkpoint,
-    parallel_stream_detect,
     save_checkpoint,
     stream_detect,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "StreamingConfig",
     "StreamingReport",
     "stream_detect",
-    "parallel_stream_detect",
     "save_checkpoint",
     "load_checkpoint",
     "DetectionService",

@@ -97,12 +97,12 @@ def event_parity(
 
 
 def report_parity(reference, candidate) -> Dict[str, object]:
-    """Full-report parity between two streaming runs (restart/shard vs base).
+    """Full-report parity between two streaming runs (restart vs base).
 
     Compares any two objects with the
     :class:`~repro.streaming.pipeline.StreamingReport` shape: the fused
     event lists (via :func:`event_parity`), the raw per-type detection
-    lists, and the bin/chunk counters.  A shard-parallel or
+    lists, and the bin/chunk counters.  A hierarchical or
     checkpoint-restored run passes iff every entry under ``"equal"`` is
     true.
     """

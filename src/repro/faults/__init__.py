@@ -1,18 +1,11 @@
-"""Seeded, deterministic fault injection for the distributed runtime.
+"""Seeded, deterministic fault injection for the detection runtime.
 
 The fault-tolerance claims of this repo are *parity* claims — a run that
-loses a worker, a checkpoint generation, or a whole ingestion leaf must
-end with the same event table as an undisturbed run.  Claims like that
-are only testable if the faults themselves are reproducible, so every
-primitive here is deterministic under a fixed seed and driven from the
-coordinator's chunk clock instead of wall-clock timers:
+loses a checkpoint generation, a whole ingestion leaf, or its own process
+must end with the same event table as an undisturbed run.  Claims like
+that are only testable if the faults themselves are reproducible, so
+every primitive here is deterministic under a fixed seed:
 
-* :class:`~repro.faults.plan.FaultPlan` — a scripted schedule of
-  injections (kill worker *w* at chunk *k*, stall the feed for *s*
-  seconds) exposed as the ``fault_hook`` callable that
-  :func:`~repro.streaming.parallel.parallel_stream_detect` and
-  :class:`~repro.streaming.parallel.WorkerSupervisor` accept.  Each
-  injection fires exactly once, including across supervised restarts.
 * :func:`~repro.faults.corrupt.corrupt_checkpoint` — torn-write and
   bit-rot simulation against a checkpoint directory: truncate or
   seeded-bit-flip the newest generation, so the fallback chain in
@@ -20,13 +13,12 @@ coordinator's chunk clock instead of wall-clock timers:
 * :class:`~repro.faults.sinks.FailingSink` — an alert sink that always
   raises, exercising the dispatcher's retry/dead-letter path.
 
-``tests/test_chaos.py`` drives these against the full stack; the CI
-``chaos`` job runs them with fixed seeds on every push.
+A killed process needs no primitive: ``tests/test_chaos.py`` SIGKILLs the
+service CLI and restarts it from its checkpoint chain.  The CI ``chaos``
+job runs every case with fixed seeds on every push.
 """
 
 from repro.faults.corrupt import corrupt_checkpoint
-from repro.faults.plan import FaultInjection, FaultPlan
 from repro.faults.sinks import FailingSink
 
-__all__ = ["FaultPlan", "FaultInjection", "corrupt_checkpoint",
-           "FailingSink"]
+__all__ = ["corrupt_checkpoint", "FailingSink"]

@@ -35,10 +35,7 @@ fallback ladder until a tier accepts it:
    vectorized tiers keep (as they always have).
 
 Validation and the dirty-row policy are applied to the converted
-columns by one set of masks.  ``pandas.read_csv`` can be chosen as the
-engine where pandas is installed (it only walks the file; conversion
-still runs through the same ladder, keeping parity engine-independent);
-the numpy path is the dependency-free reference.
+columns by one set of masks.
 """
 
 from __future__ import annotations
@@ -85,17 +82,15 @@ class ParseStats:
     bad_rows: int = 0        #: rows dropped (or that raised) under the policy
     header_rows: int = 0     #: stray header lines skipped (concat artifacts)
     propagated_rows: int = 0  #: rows kept with non-finite bytes/packets
-    engine: str = ""         #: parser engine actually used
 
     def merge(self, other: "ParseStats") -> "ParseStats":
-        """Element-wise sum (engines must agree; used by multi-file reads)."""
+        """Element-wise sum (used by multi-file reads)."""
         return ParseStats(
             rows=self.rows + other.rows,
             records=self.records + other.records,
             bad_rows=self.bad_rows + other.bad_rows,
             header_rows=self.header_rows + other.header_rows,
             propagated_rows=self.propagated_rows + other.propagated_rows,
-            engine=self.engine or other.engine,
         )
 
 
@@ -163,7 +158,7 @@ def export_flow_csv(records: Iterable[FlowRecord], path,
 
 
 # --------------------------------------------------------------------- #
-# parsing — numpy engine
+# parsing
 # --------------------------------------------------------------------- #
 #: Structured dtype of one parsed block: numpy's C tokenizer converts the
 #: numeric fields, the router name stays a Python ``str``.
@@ -377,9 +372,9 @@ def _iter_line_blocks(path, batch_rows: int) -> Iterator[List[str]]:
             yield lines
 
 
-def _read_batches_numpy(path, batch_rows: int, on_bad_row: str,
-                        stats: ParseStats,
-                        workers: int = 1) -> Iterator[RecordBatch]:
+def _read_path_batches(path, batch_rows: int, on_bad_row: str,
+                       stats: ParseStats,
+                       workers: int = 1) -> Iterator[RecordBatch]:
     blocks = _iter_line_blocks(path, batch_rows)
     if workers <= 1:
         parsed = (_parse_block(lines, on_bad_row) for lines in blocks)
@@ -422,52 +417,10 @@ def _drain_parsed(parsed, stats: ParseStats) -> Iterator[RecordBatch]:
             yield batch
 
 
-# --------------------------------------------------------------------- #
-# parsing — optional pandas engine
-# --------------------------------------------------------------------- #
-def _read_batches_pandas(path, batch_rows: int, on_bad_row: str,
-                         stats: ParseStats) -> Iterator[RecordBatch]:
-    import pandas as pd  # gated: the numpy engine is the reference
-
-    # pandas does the chunked file walking; fields stay strings (dtype=str,
-    # keep_default_na=False) and numeric conversion goes through the same
-    # numpy fast path as the reference engine, so the byte-parity guarantee
-    # is engine-independent.
-    frames = pd.read_csv(
-        path, names=FLOW_CSV_COLUMNS, header=None, chunksize=batch_rows,
-        dtype=str, keep_default_na=False)
-
-    def parsed():  # pragma: no cover - exercised only with pandas
-        for frame in frames:
-            lines = [",".join(row) + "\n"
-                     for row in frame.itertuples(index=False)]
-            yield _parse_block(lines, on_bad_row)
-
-    yield from _drain_parsed(parsed(), stats)
-
-
-def _resolve_engine(engine: str) -> str:
-    require(engine in ("auto", "numpy", "pandas"),
-            f"unknown parse engine {engine!r}")
-    if engine == "pandas":
-        try:
-            import pandas  # noqa: F401
-        except ImportError as exc:
-            raise RuntimeError(
-                "engine='pandas' requested but pandas is not installed; "
-                "use engine='numpy' (the dependency-free reference)"
-            ) from exc
-        return "pandas"
-    # "auto" prefers the numpy reference: it is always present and its
-    # parity behaviour is what the round-trip proof is stated against.
-    return "numpy"
-
-
 def read_flow_batches(
     paths: Union[str, Sequence[str]],
     batch_rows: int = 8192,
     on_bad_row: str = "skip",
-    engine: str = "auto",
     stats: Optional[ParseStats] = None,
     workers: int = 1,
 ) -> Iterator[RecordBatch]:
@@ -485,14 +438,12 @@ def read_flow_batches(
         ``"propagate"`` (keep rows whose byte/packet counts are non-finite
         so they surface as NaN cells downstream; structurally broken rows
         are still skipped).
-    engine:
-        ``"auto"`` | ``"numpy"`` | ``"pandas"``.
     stats:
         A :class:`ParseStats` mutated in place as batches are drawn.
     workers:
         Parse processes.  ``1`` (default) parses inline; ``> 1`` fans
-        blocks out to a process pool (numpy engine only) — batch order,
-        stats, and byte-parity are identical to the serial pass.
+        blocks out to a process pool — batch order, stats, and
+        byte-parity are identical to the serial pass.
     """
     require(batch_rows >= 1, "batch_rows must be >= 1")
     require(on_bad_row in BAD_ROW_POLICIES,
@@ -500,14 +451,8 @@ def read_flow_batches(
     require(workers >= 1, "workers must be >= 1")
     if stats is None:
         stats = ParseStats()
-    stats.engine = _resolve_engine(engine)
     path_list = [paths] if isinstance(paths, (str, bytes)) else list(paths)
     require(len(path_list) >= 1, "at least one path is required")
-    if stats.engine == "pandas":  # pragma: no cover - needs pandas
-        for path in path_list:
-            yield from _read_batches_pandas(path, batch_rows, on_bad_row,
-                                            stats)
-        return
     for path in path_list:
-        yield from _read_batches_numpy(path, batch_rows, on_bad_row,
-                                       stats, workers=workers)
+        yield from _read_path_batches(path, batch_rows, on_bad_row,
+                                      stats, workers=workers)

@@ -4,10 +4,10 @@
 (:mod:`repro.ingest.csv_io`) into the watermark binner
 (:mod:`repro.ingest.binning`) behind the same ``ChunkSource`` protocol
 every other feed implements, so on-disk NetFlow-style exports drive
-``stream_detect`` / ``parallel_stream_detect`` / ``DetectionService``
-exactly like the synthetic generators do — including ``resume(start_bin)``
-suffix replay for checkpoint-restored detectors (the file is re-read;
-records before the resume bin are skipped cheaply at the binning stage).
+``stream_detect`` / ``DetectionService`` exactly like the synthetic
+generators do — including ``resume(start_bin)`` suffix replay for
+checkpoint-restored detectors (the file is re-read; records before the
+resume bin are skipped cheaply at the binning stage).
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ class IngestConfig:
     on_bad_row:
         Dirty-row policy: ``"skip"`` | ``"raise"`` | ``"propagate"``
         (see :func:`repro.ingest.csv_io.read_flow_batches`).
-    engine:
-        Parser engine: ``"auto"`` | ``"numpy"`` | ``"pandas"``.
     parse_workers:
         Parse processes; ``1`` parses inline, ``> 1`` fans batches out to
         a process pool (multi-core boxes) with identical output.
@@ -74,7 +72,6 @@ class IngestConfig:
     lateness_bins: int = 0
     batch_rows: int = 8192
     on_bad_row: str = "skip"
-    engine: str = "auto"
     parse_workers: int = 1
     sampling: Optional[SamplingConfig] = None
 
@@ -236,7 +233,7 @@ class FlowCsvSource:
 
         for batch in read_flow_batches(
                 self._paths, batch_rows=config.batch_rows,
-                on_bad_row=config.on_bad_row, engine=config.engine,
-                stats=parse_stats, workers=config.parse_workers):
+                on_bad_row=config.on_bad_row, stats=parse_stats,
+                workers=config.parse_workers):
             yield from account(binner.add_batch(batch))
         yield from account(binner.finish())

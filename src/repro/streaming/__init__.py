@@ -22,55 +22,44 @@ detects in one shot; this package turns that into an online system:
 5. :mod:`repro.streaming.pipeline` wires it all together, including the
    two-pass :func:`~repro.streaming.pipeline.replay_network_anomalies`
    harness whose events match the batch pipeline exactly;
-6. :mod:`repro.streaming.sharding` partitions the OD-flow columns of the
-   moment engine across worker shards and provides the exact Chan
-   parallel-moments merge, so per-shard state combines into the identical
-   covariance;
-7. :mod:`repro.streaming.checkpoint` persists the full detector state
+6. :mod:`repro.streaming.checkpoint` persists the full detector state
    (npz + JSON manifest) so a restarted detector resumes mid-stream with
-   the identical remaining event list;
-8. :mod:`repro.streaming.parallel` drives detection in worker processes
-   over the zero-copy shared-memory chunk bus (:mod:`repro.streaming.bus`)
-   — one column shard of every detector per worker, so speedup follows
-   the worker count — with an unchanged event list and backpressure at
-   both the queue and the ring;
-9. :mod:`repro.streaming.low_rank` maintains only the top-``r`` eigenpairs
+   the identical remaining event list — the one crash-recovery path,
+   driven end to end by :class:`~repro.service.DetectionService`;
+7. :mod:`repro.streaming.low_rank` maintains only the top-``r`` eigenpairs
    via Brand-style rank-``m`` secular updates (``StreamingConfig(engine=
    "lowrank")``), killing the ``O(p³)`` eigh on the recalibration hot path
    — ``O(m·p·r + r³)`` per chunk with ``O(p·r)`` state — with an exact
    residual-energy trace for the SPE limit and a drift-monitored
    re-orthogonalization;
-10. :mod:`repro.streaming.adaptive_limits` tracks EWMA-smoothed empirical
-    quantiles of the streaming SPE/T² statistics
-    (``StreamingConfig(limits="adaptive")``) — warm-up period, clamped
-    drift rate, freeze-on-alarm — so non-stationary weeks are thresholded
-    against the recent clean-statistic tail instead of the lagging
-    parametric limits;
-11. :mod:`repro.streaming.hierarchy` aggregates per-PoP ingestion leaves
-    into one global detector by merging **models** instead of shipping
-    raw data — event-identical to the flat run, and checkpointable as the
-    merged flat state.
+8. :mod:`repro.streaming.adaptive_limits` tracks EWMA-smoothed empirical
+   quantiles of the streaming SPE/T² statistics
+   (``StreamingConfig(limits="adaptive")``) — warm-up period, clamped
+   drift rate, freeze-on-alarm — so non-stationary weeks are thresholded
+   against the recent clean-statistic tail instead of the lagging
+   parametric limits;
+9. :mod:`repro.streaming.hierarchy` aggregates per-PoP ingestion leaves
+   into one global detector by merging **models**
+   (:func:`~repro.streaming.online_pca.merge_online_pca`, the exact Chan
+   parallel-moments combine) instead of shipping raw data —
+   event-identical to the flat run, and checkpointable as the merged flat
+   state.
+
+Detection runs in one process.  A checkpoint-restarted run and the
+hierarchy both emit the same events as an uninterrupted flat run.
 """
 
 from repro.streaming.adaptive_limits import AdaptiveControlLimits
-from repro.streaming.bus import (
-    ChunkBusHandle,
-    ChunkBusReader,
-    ChunkBusWriter,
-    SlotDescriptor,
-    chunk_slot_bytes,
-)
 from repro.streaming.config import StreamingConfig, forgetting_from_half_life
-from repro.streaming.online_pca import OnlinePCA, eigh_descending
+from repro.streaming.online_pca import (
+    OnlinePCA,
+    eigh_descending,
+    merge_online_pca,
+)
 from repro.streaming.low_rank import (
     LowRankEigenTracker,
     compress_engine,
     merge_low_rank,
-)
-from repro.streaming.sharding import (
-    ShardWorkerMoments,
-    merge_online_pca,
-    partition_columns,
 )
 from repro.streaming.detector import (
     ChunkDetections,
@@ -103,7 +92,6 @@ from repro.streaming.checkpoint import (
     save_checkpoint,
 )
 from repro.streaming.hierarchy import HierarchicalNetworkDetector
-from repro.streaming.parallel import WorkerSupervisor, parallel_stream_detect
 
 __all__ = [
     "AdaptiveControlLimits",
@@ -111,17 +99,10 @@ __all__ = [
     "forgetting_from_half_life",
     "OnlinePCA",
     "eigh_descending",
+    "merge_online_pca",
     "LowRankEigenTracker",
     "compress_engine",
     "merge_low_rank",
-    "ShardWorkerMoments",
-    "merge_online_pca",
-    "partition_columns",
-    "ChunkBusHandle",
-    "ChunkBusReader",
-    "ChunkBusWriter",
-    "SlotDescriptor",
-    "chunk_slot_bytes",
     "SubspaceSnapshot",
     "StreamDetection",
     "ChunkDetections",
@@ -145,6 +126,4 @@ __all__ = [
     "load_checkpoint",
     "has_checkpoint",
     "HierarchicalNetworkDetector",
-    "parallel_stream_detect",
-    "WorkerSupervisor",
 ]

@@ -103,7 +103,7 @@ def save_checkpoint(detector: StreamingNetworkDetector,
     *detector* may also be any object exposing ``to_network_detector()``
     (e.g. a :class:`~repro.streaming.hierarchy.HierarchicalNetworkDetector`):
     the checkpoint then persists the **merged** flat state, so every
-    checkpoint on disk — flat, shard-parallel, or hierarchical — has one
+    checkpoint on disk — flat or hierarchical — has one
     format and restores through :func:`load_checkpoint` into an ordinary
     single-process detector.
 

@@ -11,8 +11,9 @@ from repro.utils.validation import ensure_probability, require
 __all__ = ["StreamingConfig", "forgetting_from_half_life"]
 
 #: Fields older checkpoint manifests carry that the config no longer has:
-#: the single-process column-shard count and the type-parallel mode switch.
-RETIRED_FIELDS = ("n_shards", "parallel_mode")
+#: the single-process column-shard count, the type-parallel mode switch,
+#: and the shard-mode chunk-bus ring length and worker liveness poll.
+RETIRED_FIELDS = ("n_shards", "parallel_mode", "bus_slots", "poll_seconds")
 
 
 def forgetting_from_half_life(half_life_bins: float) -> float:
@@ -97,16 +98,6 @@ class StreamingConfig:
         effective limit: statistic values above it are treated as
         anomalies and excluded from the quantile; values below it are
         treated as drift and tracked.
-    bus_slots:
-        Ring length of the shared-memory chunk bus of
-        :func:`~repro.streaming.parallel.parallel_stream_detect`: how many
-        chunks may be in flight before the writer blocks on the readers —
-        the bus-side backpressure window, in chunks.
-    poll_seconds:
-        Liveness-poll cadence of the multi-process driver: the longest a
-        blocked feed/drain waits before re-checking worker health.  Worker
-        *death* wakes the driver immediately through its process sentinel
-        regardless of this value (see :mod:`repro.streaming.parallel`).
     on_bad_chunk:
         Malformed-chunk policy of the network detector.  A chunk is
         malformed when any traffic type's matrix contains non-finite
@@ -127,9 +118,7 @@ class StreamingConfig:
         Master switch of the observability layer
         (:mod:`repro.telemetry`).  ``False`` (the default) keeps every
         hot-path hook a single ``is None`` check; ``True`` gives the run
-        a :class:`~repro.telemetry.MetricsRegistry` + tracer, and the
-        multi-process drivers merge the workers' registries into the
-        coordinator's at shutdown.
+        a :class:`~repro.telemetry.MetricsRegistry` + tracer.
     telemetry_sample_rate:
         Fraction of chunks whose trace spans are emitted as JSON-lines
         records (one seeded Bernoulli draw per chunk).  Latency
@@ -140,8 +129,7 @@ class StreamingConfig:
         same sampled set, which keeps instrumented reruns comparable.
     telemetry_trace_path:
         JSON-lines span sink path (empty: spans are timed but not
-        written).  Workers append ``.<worker-id>`` so each process owns
-        its file.
+        written).
     telemetry_snapshot_path:
         Where the pipeline periodically writes a
         :class:`~repro.telemetry.HealthSnapshot` as JSON (atomic
@@ -169,8 +157,6 @@ class StreamingConfig:
     adaptive_block_bins: int = 32
     adaptive_freeze_factor: float = 4.0
     on_bad_chunk: str = "raise"
-    bus_slots: int = 8
-    poll_seconds: float = 1.0
     n_pops: int = 1
     telemetry: bool = False
     telemetry_sample_rate: float = 0.05
@@ -209,8 +195,6 @@ class StreamingConfig:
                 "adaptive_freeze_factor must be > 1")
         require(self.on_bad_chunk in ("raise", "quarantine"),
                 "on_bad_chunk must be 'raise' or 'quarantine'")
-        require(self.bus_slots >= 2, "bus_slots must be >= 2")
-        require(self.poll_seconds > 0.0, "poll_seconds must be positive")
         require(self.n_pops >= 1, "n_pops must be >= 1")
         require(0.0 <= self.telemetry_sample_rate <= 1.0,
                 "telemetry_sample_rate must be in [0, 1]")

@@ -382,10 +382,10 @@ class StreamingSubspaceDetector:
     def maybe_calibrate(self) -> None:
         """Recalibrate when due: trainable and past the refresh cadence.
 
-        The cadence check drivers share — the in-process ``process_chunk``,
-        the shard-parallel coordinator, and the hierarchical global
-        detector all call this after new bins land in the engine, so their
-        snapshots refresh at the identical stream positions.
+        The cadence check both drivers share — the flat ``process_chunk``
+        and the hierarchical global detector call this after new bins land
+        in the engine, so their snapshots refresh at the identical stream
+        positions.
         """
         if not self._trainable():
             return

@@ -14,7 +14,7 @@ aggregates **models** instead of data:
 * the **global** per-type detectors own no moments of their own: their
   engine is a :class:`_MergedEngine` view that folds the leaves' moment
   engines together with the exact Chan parallel-moments combine
-  (:func:`~repro.streaming.sharding.merge_online_pca` /
+  (:func:`~repro.streaming.online_pca.merge_online_pca` /
   :func:`~repro.streaming.low_rank.merge_low_rank`) on demand —
   ``O(K p²)`` per refresh, independent of how many bins the leaves hold;
 * calibration cadence, detection, identification, and event fusion all run
@@ -25,7 +25,7 @@ aggregates **models** instead of data:
 
 Checkpointing: :meth:`HierarchicalNetworkDetector.to_network_detector`
 materializes the merged state as a plain flat detector, so **checkpointing
-a distributed hierarchy is checkpointing the merged state** — the saved
+a hierarchy is checkpointing the merged state** — the saved
 directory restores through the ordinary
 :func:`~repro.streaming.checkpoint.load_checkpoint` and resumes as a
 single-process run with the identical remaining events.
@@ -45,14 +45,13 @@ from repro.flows.timeseries import TrafficType
 from repro.streaming.aggregator import OnlineEventAggregator
 from repro.streaming.config import StreamingConfig
 from repro.streaming.detector import ChunkDetections, StreamingSubspaceDetector
-from repro.streaming.online_pca import OnlinePCA
+from repro.streaming.online_pca import OnlinePCA, merge_online_pca
 from repro.streaming.pipeline import (
     StreamingNetworkDetector,
     StreamingReport,
     _dedup_types,
     _fuse_chunk_results,
 )
-from repro.streaming.sharding import merge_online_pca
 from repro.streaming.sources import TrafficChunk
 from repro.telemetry import Telemetry
 from repro.utils.validation import require
@@ -67,7 +66,7 @@ class _MergedEngine:
     :class:`~repro.streaming.detector.StreamingSubspaceDetector` needs for
     calibration (``n_bins_seen`` / ``rank`` / ``n_samples`` / ``mean`` /
     ``eigenbasis`` / ``covariance`` / ``state_dict``) by delegating to a
-    cached :func:`~repro.streaming.sharding.merge_online_pca` fold of the
+    cached :func:`~repro.streaming.online_pca.merge_online_pca` fold of the
     per-leaf engines, rebuilt only when a leaf ingested new data (keyed on
     the leaves' moment versions).  It never ingests: feeding data is the
     leaves' job.

@@ -35,9 +35,9 @@ Interop: :func:`merge_low_rank` combines two trackers over disjoint
 consecutive stream segments through the same machinery — the later
 tracker's factored basis is one more rank-``r`` update, a small
 ``(2r+1)``-sized core problem — and :func:`compress_engine` converts an
-exact :class:`OnlinePCA` (e.g. after a shard-parallel ingest or an exact
-Chan merge) into a tracker, so the
-heavy history can be ingested exactly in parallel and then tracked cheaply.
+exact :class:`OnlinePCA` (e.g. after an exact ingest or an exact Chan
+merge of hierarchy leaves) into a tracker, so the heavy history can be
+ingested exactly and then tracked cheaply.
 """
 
 from __future__ import annotations
@@ -337,7 +337,7 @@ def merge_low_rank(earlier: LowRankEigenTracker,
     """Combine trackers over disjoint consecutive segments — a ``2r`` core.
 
     The low-rank counterpart of
-    :func:`~repro.streaming.sharding.merge_online_pca`: the later segment's
+    :func:`~repro.streaming.online_pca.merge_online_pca`: the later segment's
     factored scatter (``U₂ √S₂``, plus the Chan mean-shift column) is one
     more factored update of the earlier tracker, so the merge costs one
     ``(r₁+r₂+1)``-sized core eigenproblem instead of anything ``O(p²)``.
@@ -390,7 +390,7 @@ def compress_engine(engine, rank: int,
     """Compress any moment engine into a :class:`LowRankEigenTracker`.
 
     Accepts an :class:`OnlinePCA` (the interop path: ingest the heavy
-    history exactly in parallel, merge, then track cheaply), any engine
+    history exactly, merge, then track cheaply), any engine
     with the same accessor surface, or another tracker (re-compression to
     a smaller rank).  The top-``rank``
     eigenpairs are kept and everything else becomes residual energy, so

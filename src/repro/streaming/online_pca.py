@@ -20,10 +20,17 @@ Cost per ingested chunk of ``m`` bins is ``O(m p²)`` (one rank-``m`` scatter
 update) with ``O(p²)`` memory, independent of the stream length ``n``.
 
 The weighting/decay bookkeeping lives once in the :class:`_MomentTracker`
-base shared with the column-shard workers
-(:class:`~repro.streaming.sharding.ShardWorkerMoments`); only the scatter
-update itself differs between the two, which is what keeps their
-arithmetic — and therefore their emitted events — identical.
+base shared with the low-rank tracker
+(:class:`~repro.streaming.low_rank.LowRankEigenTracker`); only the scatter
+storage differs between the two.
+
+:func:`merge_online_pca` combines engines that ingested *disjoint
+consecutive segments* of the stream with the same pairwise Chan combine
+``partial_fit`` applies per chunk, lifted to whole moment tuples.  With
+``forgetting = 1`` it is associative *and* commutative, so segment moments
+can be reduced in any order; the hierarchical detector
+(:mod:`repro.streaming.hierarchy`) folds its per-PoP leaves with it.  Both
+properties are enforced by ``tests/test_streaming_properties.py``.
 """
 
 from __future__ import annotations
@@ -34,16 +41,17 @@ import numpy as np
 
 from repro.utils.validation import ensure_2d, require
 
-__all__ = ["OnlinePCA", "eigh_descending"]
+__all__ = ["OnlinePCA", "eigh_descending", "merge_online_pca"]
 
 
 def eigh_descending(covariance: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Descending, clipped eigendecomposition of a (near-)symmetric matrix.
 
-    Symmetrizes first so tiny floating-point asymmetries (e.g. from an
-    assembled sharded scatter) cannot perturb the solver, clips negative
-    round-off eigenvalues to zero, and returns read-only arrays — the shared
-    eigenbasis step of every exact moment engine.
+    Symmetrizes first so tiny floating-point asymmetries (e.g. from the
+    accumulation order of a scatter update or merge) cannot perturb the
+    solver, clips negative round-off eigenvalues to zero, and returns
+    read-only arrays — the shared eigenbasis step of every exact moment
+    engine.
     """
     symmetric = (covariance + covariance.T) * 0.5
     eigenvalues, axes = np.linalg.eigh(symmetric)
@@ -98,7 +106,7 @@ def _chunk_moments(matrix: np.ndarray, lam: float):
 
 
 class _MomentTracker:
-    """Scalar moment bookkeeping shared by the single and sharded engines.
+    """Scalar moment bookkeeping shared by the exact and low-rank engines.
 
     Owns the forgetting factor, the running mean, the weight sums, and the
     eigenbasis cache; subclasses implement only how the centered scatter is
@@ -230,7 +238,7 @@ class _MomentTracker:
 
         The single home of the combine arithmetic: :meth:`partial_fit`
         passes a raw chunk's weighted moments here, and
-        :func:`~repro.streaming.sharding.merge_online_pca` passes a whole
+        :func:`merge_online_pca` passes a whole
         engine's moment tuple — both therefore stay exactly in step.
         *scatter_update* receives ``(delta, outer_coefficient)`` and must
         fold the chunk scatter plus ``outer(delta, delta) * coefficient``
@@ -386,3 +394,56 @@ class OnlinePCA(_MomentTracker):
             engine._scatter = scatter
         engine._restore_scalars(meta)
         return engine
+
+
+def merge_online_pca(earlier: OnlinePCA, later: OnlinePCA) -> OnlinePCA:
+    """Combine engines over disjoint consecutive stream segments, exactly.
+
+    This is the pairwise Chan et al. parallel-moments update applied to two
+    whole moment tuples: *earlier* holds the moments of the first segment,
+    *later* those of the segment that follows it.  With ``forgetting = 1``
+    the operation is associative and commutative (segment order is
+    irrelevant); with ``λ < 1`` it stays associative but weights *earlier*
+    down by ``λ^m`` for the ``m`` bins *later* ingested, so order matters —
+    exactly as if the segments had been streamed through one engine.
+
+    A pair of :class:`~repro.streaming.low_rank.LowRankEigenTracker`
+    engines is dispatched to :func:`~repro.streaming.low_rank.merge_low_rank`
+    (the same Chan combine through a small factored core instead of the
+    full scatter); mixing a low-rank tracker with an exact engine is
+    rejected — compress the exact one first via
+    :func:`~repro.streaming.low_rank.compress_engine`.
+    """
+    from repro.streaming.low_rank import LowRankEigenTracker, merge_low_rank
+    low_rank_flags = (isinstance(earlier, LowRankEigenTracker),
+                      isinstance(later, LowRankEigenTracker))
+    if all(low_rank_flags):
+        return merge_low_rank(earlier, later)
+    require(not any(low_rank_flags),
+            "cannot merge a low-rank tracker with an exact engine; compress "
+            "the exact engine via compress_engine first")
+    require(earlier.forgetting == later.forgetting,
+            "engines must share the same forgetting factor")
+    if later.n_features is None:
+        return OnlinePCA.from_state(**earlier.state_dict())
+    if earlier.n_features is None:
+        return OnlinePCA.from_state(**later.state_dict())
+    require(earlier.n_features == later.n_features,
+            "engines must share the same number of OD flows")
+
+    merged = OnlinePCA.from_state(**earlier.state_dict())
+    second = later.state_dict()
+    decay = earlier.forgetting ** later.n_bins_seen
+    # The shared Chan combine of _MomentTracker, fed a whole moment tuple
+    # (the later segment) instead of a raw chunk.
+    merged._merge_weighted_chunk(
+        chunk_weight=second["meta"]["weight_sum"],
+        chunk_weight_sq=second["meta"]["weight_sq_sum"],
+        chunk_mean=second["arrays"]["mean"],
+        decay=decay,
+        decay_sq=decay**2,
+        n_bins=later.n_bins_seen,
+        scatter_update=lambda delta, coefficient: merged._merge_scatter(
+            second["arrays"]["scatter"], delta, decay, coefficient),
+    )
+    return merged

@@ -51,9 +51,8 @@ __all__ = ["StreamingReport", "StreamingNetworkDetector", "stream_detect",
 def _dedup_types(traffic_types: Iterable[TrafficType]) -> List[TrafficType]:
     """Normalize and dedup traffic types, keeping first-seen order.
 
-    Shared by every driver (single-process, replay, multi-process): a
-    duplicate type would fold chunks twice into one detector's moments —
-    and stall the parallel driver's fusion completeness count.
+    Shared by the flat, replay and hierarchical drivers: a duplicate type
+    would fold chunks twice into one detector's moments.
     """
     return list(dict.fromkeys(TrafficType(t) for t in traffic_types))
 
@@ -139,7 +138,7 @@ def _fuse_chunk_results(
     """Fold one chunk's per-type detections into the aggregator and report.
 
     The single fusion step shared by live mode, the two-pass replay, and
-    every distributed driver: once every type delivered its detections for
+    the hierarchy: once every type delivered its detections for
     the chunk's bins, the aggregator watermark advances and newly closed
     events land in the report.  Being the one shared chokepoint also makes
     it the one place the bins/chunks/events telemetry counters increment —
@@ -191,7 +190,6 @@ class StreamingNetworkDetector:
         self,
         config: StreamingConfig = StreamingConfig(),
         traffic_types: Optional[Sequence[TrafficType]] = None,
-        engine_factory: Optional[Callable[[TrafficType], object]] = None,
         on_events: Optional[Callable[[List[AnomalyEvent]], None]] = None,
     ) -> None:
         require(config.identify,
@@ -210,11 +208,6 @@ class StreamingNetworkDetector:
         self._types: Optional[List[TrafficType]] = (
             _dedup_types(traffic_types) if traffic_types is not None else None
         )
-        # Per-type moment-engine override: the distributed drivers hand the
-        # per-type detectors coordinator-side engines (whose scatter lives
-        # in shard workers) while everything else — calibration cadence,
-        # detection, fusion — runs through this class unchanged.
-        self._engine_factory = engine_factory
         self._detectors: Dict[TrafficType, StreamingSubspaceDetector] = {}
         # OD-flow column count established by the first chunk; later chunks
         # disagreeing with it are malformed (on_bad_chunk policy applies).
@@ -284,9 +277,7 @@ class StreamingNetworkDetector:
     def _detector_for(self, traffic_type: TrafficType) -> StreamingSubspaceDetector:
         detector = self._detectors.get(traffic_type)
         if detector is None:
-            engine = (self._engine_factory(traffic_type)
-                      if self._engine_factory is not None else None)
-            detector = StreamingSubspaceDetector(self._config, engine=engine)
+            detector = StreamingSubspaceDetector(self._config)
             if self._telemetry is not None:
                 detector.bind_telemetry(self._telemetry,
                                         {"type": traffic_type.value})

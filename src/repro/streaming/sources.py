@@ -4,10 +4,9 @@ A stream is any object satisfying the :class:`ChunkSource` protocol: an
 iterable of :class:`TrafficChunk` — blocks of consecutive timebins carrying
 aligned matrices for one or more traffic types — plus a ``resume(start_bin)``
 method returning the same stream's suffix from a stream-global bin (the
-checkpoint-restart path).  Every driver (``stream_detect``,
-``parallel_stream_detect``, ``WorkerSupervisor``, ``DetectionService``)
-accepts one uniform ``source=`` argument normalized by
-:func:`as_chunk_source`:
+checkpoint-restart path).  Both drivers (``stream_detect`` and
+``DetectionService.run``) accept one uniform ``source=`` argument
+normalized by :func:`as_chunk_source`:
 
 * a :class:`ChunkSource` is used as-is;
 * a plain iterable of chunks is wrapped in :class:`IterableChunkSource`
@@ -275,10 +274,10 @@ class AsyncChunkSource:
     """Bridge an :mod:`asyncio` producer to the synchronous chunk drivers.
 
     The detection drivers (:func:`~repro.streaming.pipeline.stream_detect`,
-    :func:`~repro.streaming.parallel.parallel_stream_detect`) consume a
-    plain iterable; live collectors are naturally asynchronous.  This
-    adapter is both at once — an awaitable sink and a blocking iterator —
-    over one bounded queue:
+    :class:`~repro.service.DetectionService`) consume a plain iterable;
+    live collectors are naturally asynchronous.  This adapter is both at
+    once — an awaitable sink and a blocking iterator — over one bounded
+    queue:
 
     * **backpressure**: :meth:`put` suspends the producer coroutine (via an
       executor thread, never blocking the event loop) while the queue holds
@@ -293,7 +292,7 @@ class AsyncChunkSource:
       exception to the consumer, which re-raises it instead of silently
       truncating the stream.
 
-    Typical wiring (consumer on a worker thread, producer on the loop)::
+    Typical wiring (consumer on an executor thread, producer on the loop)::
 
         source = AsyncChunkSource(maxsize=4)
         report_future = loop.run_in_executor(None, stream_detect, source)

@@ -39,26 +39,22 @@ class Telemetry:
     """One run's observability bundle: registry + tracer + snapshot knobs.
 
     Built with :meth:`from_config` (returns ``None`` when telemetry is
-    off, so call sites guard with ``if tel is not None``).  Workers pass
-    their ``worker`` id: their spans are labeled, their trace file gets a
-    ``.<worker>`` suffix, and snapshot writing stays coordinator-only.
+    off, so call sites guard with ``if tel is not None``).
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,
                  snapshot_path: str = "",
-                 snapshot_every_chunks: int = 16,
-                 worker: str = "") -> None:
+                 snapshot_every_chunks: int = 16) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = (tracer if tracer is not None
-                       else Tracer(registry=self.registry, worker=worker))
+                       else Tracer(registry=self.registry))
         self.snapshot_path = str(snapshot_path)
         self.snapshot_every_chunks = int(snapshot_every_chunks)
-        self.worker = str(worker)
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_config(cls, config, worker: str = "") -> Optional["Telemetry"]:
+    def from_config(cls, config) -> Optional["Telemetry"]:
         """A fresh bundle per the config's ``telemetry_*`` knobs.
 
         ``None`` when ``config.telemetry`` is falsy — the disabled path.
@@ -69,21 +65,16 @@ class Telemetry:
             return None
         registry = MetricsRegistry()
         trace_path = str(getattr(config, "telemetry_trace_path", ""))
-        if trace_path and worker:
-            trace_path = f"{trace_path}.{worker}"
         sink = JsonLinesSink(trace_path) if trace_path else None
         tracer = Tracer(
             sample_rate=float(getattr(config, "telemetry_sample_rate", 1.0)),
             seed=int(getattr(config, "telemetry_seed", 0)),
-            registry=registry, sink=sink, worker=worker)
+            registry=registry, sink=sink)
         return cls(
             registry=registry, tracer=tracer,
-            snapshot_path=("" if worker else
-                           str(getattr(config, "telemetry_snapshot_path",
-                                       ""))),
+            snapshot_path=str(getattr(config, "telemetry_snapshot_path", "")),
             snapshot_every_chunks=int(getattr(
-                config, "telemetry_snapshot_every_chunks", 16)),
-            worker=worker)
+                config, "telemetry_snapshot_every_chunks", 16)))
 
     # ------------------------------------------------------------------ #
     # tracing (thin delegation so call sites hold one object)
@@ -117,7 +108,7 @@ class Telemetry:
             self.snapshot(runtime_seconds).write(self.snapshot_path)
 
     # ------------------------------------------------------------------ #
-    # serialization (checkpoints, worker→coordinator shipping)
+    # serialization (checkpoints)
     # ------------------------------------------------------------------ #
     def state_dict(self) -> Dict[str, object]:
         """The counters' durable state.  Spans are deliberately absent:
@@ -127,10 +118,6 @@ class Telemetry:
     def restore_state(self, state: Mapping[str, object]) -> None:
         """Fold a checkpointed registry into this (fresh) bundle."""
         self.registry.merge(MetricsRegistry.from_dict(state["registry"]))
-
-    def merge_registry(self, data: Mapping[str, object]) -> None:
-        """Fold a worker's shipped ``registry.to_dict()`` payload in."""
-        self.registry.merge(MetricsRegistry.from_dict(data))
 
     def close(self) -> None:
         self.tracer.close()

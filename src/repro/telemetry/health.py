@@ -2,7 +2,7 @@
 
 A :class:`HealthSnapshot` is the status surface of a run: the handful of
 headline quantities an operator checks first (throughput, events by type,
-recalibration cadence, worker liveness, bus pressure) pulled out of the
+recalibration cadence, stage latencies, fault recovery) pulled out of the
 :class:`~repro.telemetry.registry.MetricsRegistry`, plus the complete
 metrics dump for everything else.  The pipeline writes one periodically
 (atomic rename, so a reader never sees a torn file); ``tools/status.py``
@@ -27,6 +27,11 @@ __all__ = ["HealthSnapshot", "render_status_table"]
 
 SNAPSHOT_VERSION = 1
 
+#: Fields older snapshots carry that this class no longer has: the shard
+#: workers' chunk counts, restart count and degraded flag.  Dropped on
+#: load without the unknown-field warning.
+RETIRED_FIELDS = ("workers", "worker_restarts", "degraded")
+
 
 @dataclass
 class HealthSnapshot:
@@ -42,14 +47,11 @@ class HealthSnapshot:
     events_by_type: Dict[str, int]
     recalibrations: int
     recalibration_seconds: float
-    workers: Dict[str, int] = field(default_factory=dict)
     stage_seconds: Dict[str, Dict[str, float]] = field(default_factory=dict)
     metrics: Dict[str, object] = field(default_factory=dict)
     # Fault-tolerance surface (defaults keep pre-existing snapshots
-    # loading): supervised-worker restarts, checkpoint fallback activity,
-    # hierarchy leaf quarantine, and malformed-chunk skips.
-    worker_restarts: int = 0
-    degraded: bool = False
+    # loading): checkpoint fallback activity, hierarchy leaf quarantine,
+    # and malformed-chunk skips.
     checkpoint_fallbacks: int = 0
     checkpoints_quarantined: int = 0
     quarantined_leaves: int = 0
@@ -91,10 +93,6 @@ class HealthSnapshot:
                 "mean_seconds": metric.mean,
                 "p95_seconds": metric.quantile(0.95),
             }
-        workers = {
-            dict(labels_key).get("worker", ""): int(metric.value)
-            for labels_key, metric in registry.labeled("worker_chunks").items()
-        }
         # Coverage defaults to full when the run has no hierarchy gauge.
         coverage = registry.value("hierarchy_coverage", default=1.0)
         return cls(
@@ -110,11 +108,8 @@ class HealthSnapshot:
             events_by_type=events_by_type,
             recalibrations=n_recalibrations,
             recalibration_seconds=(recal.total if recal is not None else 0.0),
-            workers=workers,
             stage_seconds=stage_summary,
             metrics=registry.to_dict(),
-            worker_restarts=int(registry.value("worker_restarts")),
-            degraded=bool(registry.value("degraded")),
             checkpoint_fallbacks=int(registry.value("checkpoint_fallbacks")),
             checkpoints_quarantined=int(
                 registry.value("checkpoints_quarantined")),
@@ -138,7 +133,8 @@ class HealthSnapshot:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "HealthSnapshot":
         fields = dict(data)
-        fields.pop("version", None)
+        for name in ("version",) + RETIRED_FIELDS:
+            fields.pop(name, None)
         # Forward compatibility: a snapshot written by a newer
         # SNAPSHOT_VERSION may carry fields this reader does not know.  An
         # old status CLI pointed at a new run must keep rendering what it
@@ -158,8 +154,8 @@ class HealthSnapshot:
         """Atomically replace *path* with this snapshot as JSON.
 
         The temp name is unique per write (pid + random suffix): two
-        processes snapshotting the same path — a coordinator and a leaf, or
-        two overlapping runs — must never rename each other's half-written
+        processes snapshotting the same path — two overlapping runs, or a
+        run and its restart — must never rename each other's half-written
         file.  The payload is fsynced before the rename, matching the
         checkpoint module's durability discipline.
         """
@@ -215,17 +211,13 @@ def render_status_table(snapshot: HealthSnapshot) -> str:
         f"recalibrations     {snapshot.recalibrations}"
         f"  ({snapshot.recalibration_seconds:.3f}s total)",
     ]
-    faults = (snapshot.worker_restarts or snapshot.degraded
-              or snapshot.checkpoint_fallbacks
+    faults = (snapshot.checkpoint_fallbacks
               or snapshot.checkpoints_quarantined
               or snapshot.quarantined_leaves or snapshot.bad_chunks
               or snapshot.coverage < 1.0)
     if faults:
         lines += [
             "",
-            f"degraded           "
-            f"{'yes' if snapshot.degraded else 'no'}",
-            f"worker restarts    {snapshot.worker_restarts}",
             f"ckpt fallbacks     {snapshot.checkpoint_fallbacks}"
             f"  ({snapshot.checkpoints_quarantined} files quarantined)",
             f"leaf coverage      {snapshot.coverage:.2f}"
@@ -245,10 +237,4 @@ def render_status_table(snapshot: HealthSnapshot) -> str:
               f"{s['p95_seconds'] * 1e3:.3f}", f"{s['total_seconds']:.3f}"]
              for stage, s in sorted(snapshot.stage_seconds.items())],
             ["stage", "count", "mean ms", "p95 ms", "total s"]))
-    if snapshot.workers:
-        lines.append("")
-        lines.extend(_rows_to_table(
-            [[worker, str(count)]
-             for worker, count in sorted(snapshot.workers.items())],
-            ["worker", "chunks"]))
     return "\n".join(lines) + "\n"

@@ -6,14 +6,13 @@ named collection of three metric kinds shared by every runtime component:
 * :class:`Counter` — a monotonically increasing float (bins processed,
   events emitted, recalibrations run);
 * :class:`Gauge` — a point-in-time value with an explicit **merge mode**
-  (``last``/``sum``/``max``/``min``), because "the bus holds 3 slots" and
-  "this worker processed 40 chunks" combine differently across processes;
+  (``last``/``sum``/``max``/``min``), because "the adaptive scale is 1.2"
+  and "the worst lag was 3 bins" combine differently;
 * :class:`Histogram` — fixed upper-bound buckets plus a running sum/count
-  (per-stage latencies), so two processes' distributions add bucket-wise.
+  (per-stage latencies), so two runs' distributions add bucket-wise.
 
-Registries **merge**: shard/type workers maintain their own registry and
-ship its :meth:`~MetricsRegistry.to_dict` form over the existing result
-pipes; the coordinator folds them with :meth:`~MetricsRegistry.merge` — the
+Registries **merge**: a restored run folds the registry saved in its
+checkpoint into its fresh one with :meth:`~MetricsRegistry.merge` — the
 same discipline as the moment algebra, and (for counters, histograms, and
 ``sum``/``max``/``min`` gauges) associative and commutative in the same
 way, which is what ``tests/test_telemetry.py`` property-checks.
@@ -21,7 +20,7 @@ way, which is what ``tests/test_telemetry.py`` property-checks.
 Metric identity is ``(name, labels)`` where labels is a frozen mapping
 (Prometheus-style dimensions: ``{"type": "bytes"}``, ``{"stage":
 "detect"}``).  Everything is dependency-free and JSON-serializable, so a
-registry travels through queues, checkpoint manifests, and snapshot files
+registry travels through checkpoint manifests and snapshot files
 unchanged.
 """
 
@@ -82,9 +81,9 @@ class Gauge:
     """A point-in-time value with an explicit cross-process merge mode.
 
     ``last`` (the default) keeps whichever side set the gauge more
-    recently in merge order — right for coordinator-owned state like the
-    adaptive scale; ``sum``/``max``/``min`` combine worker-local values
-    (per-worker chunk counts, worst-case lag) order-independently.
+    recently in merge order — right for state like the adaptive scale;
+    ``sum``/``max``/``min`` combine values (totals, worst-case lag)
+    order-independently.
     """
 
     kind = "gauge"

@@ -62,7 +62,7 @@ class ListSink:
 class JsonLinesSink:
     """Appends one compact JSON object per span to a file.
 
-    Opened lazily (the worker that never samples a chunk never touches the
+    Opened lazily (a run that never samples a chunk never touches the
     file) and line-buffered through a single lock so concurrent spans from
     a driver thread and a checkpoint call interleave whole lines.
     """
@@ -126,12 +126,11 @@ class Tracer:
 
     def __init__(self, sample_rate: float = 1.0, seed: int = 0,
                  registry: Optional[MetricsRegistry] = None,
-                 sink=None, worker: str = "") -> None:
+                 sink=None) -> None:
         require(0.0 <= sample_rate <= 1.0,
                 "sample_rate must lie in [0, 1]")
         self.sample_rate = float(sample_rate)
         self.seed = int(seed)
-        self.worker = str(worker)
         self.registry = registry
         self.sink = sink if sink is not None else NullSink()
         self._rng = random.Random(self.seed)
@@ -199,8 +198,6 @@ class Tracer:
             }
             if inside_chunk:
                 record["chunk"] = self._chunk_index
-            if self.worker:
-                record["worker"] = self.worker
             if failed:
                 record["failed"] = True
             record.update(span.attrs)

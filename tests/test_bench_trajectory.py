@@ -48,7 +48,7 @@ def artifact_dir(tmp_path):
         },
         "parity_section": {
             "benchmark": "bench_parity",
-            "parity": {"sharded": {"recall": 1.0, "span_recall": 1.0},
+            "parity": {"hierarchical": {"recall": 1.0, "span_recall": 1.0},
                        "parallel": {"recall": 0.9}},
         },
     })
@@ -157,7 +157,7 @@ class TestCheck:
     def test_parity_recall_regression_fails(self, artifact_dir, tmp_path):
         baseline = self._baseline(artifact_dir, tmp_path)
         record = json.loads((artifact_dir / "bench_sectioned.json").read_text())
-        record["parity_section"]["parity"]["sharded"]["span_recall"] = 0.2
+        record["parity_section"]["parity"]["hierarchical"]["span_recall"] = 0.2
         _write(artifact_dir / "bench_sectioned.json", record)
         failures = bench_trajectory.check(baseline, artifact_dir, 0.1)
         assert len(failures) == 1

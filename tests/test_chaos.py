@@ -1,12 +1,12 @@
-"""Chaos harness: seeded faults against the full distributed stack.
+"""Chaos harness: seeded faults against the full detection stack.
 
-Three parity invariants under injected failure, all deterministic under
+Four parity invariants under injected failure, all deterministic under
 fixed seeds (the CI ``chaos`` job runs exactly this file):
 
-1. **Worker kill** — a shard worker SIGKILLed mid-stream is restarted by
-   :class:`~repro.streaming.parallel.WorkerSupervisor` from the last
-   good checkpoint, and the supervised run's final event list is
-   **identical** to an undisturbed run's.
+1. **Service kill** — the service CLI (``python -m repro.service``)
+   SIGKILLed mid-stream, after its second periodic checkpoint, is
+   restarted from its checkpoint chain, and the store ends with the
+   **byte-identical** ``table_digest()`` of an uninterrupted run.
 2. **Checkpoint corruption** — truncating the newest checkpoint
    generation makes ``load_checkpoint(fallback=True)`` quarantine the
    damaged files (never delete), restore the previous verified
@@ -22,18 +22,23 @@ When ``CHAOS_ARTIFACT_DIR`` is set (the CI job does), quarantined
 checkpoint files are copied there so a failing run uploads the evidence.
 """
 
+import json
 import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.datasets import DatasetConfig, generate_abilene_dataset
-from repro.faults import FailingSink, FaultPlan, corrupt_checkpoint
+from repro.faults import FailingSink, corrupt_checkpoint
 from repro.service import AlertDispatcher, EventStore
-from repro.streaming import (ChunkedSeriesSource, StreamingConfig,
-                             StreamingNetworkDetector, WorkerSupervisor,
-                             chunk_series, load_checkpoint,
-                             parallel_stream_detect, save_checkpoint)
+from repro.streaming import (StreamingConfig, StreamingNetworkDetector,
+                             chunk_series, load_checkpoint, save_checkpoint)
 from repro.streaming.checkpoint import QUARANTINE_DIRNAME
 from repro.streaming.hierarchy import HierarchicalNetworkDetector
 from repro.telemetry import (HealthSnapshot, MetricsRegistry,
@@ -48,10 +53,6 @@ def dataset():
     return generate_abilene_dataset(DatasetConfig(weeks=2.0 / 7.0), seed=SEED)
 
 
-def _shard_config():
-    return StreamingConfig(min_train_bins=128, recalibrate_every_bins=32)
-
-
 def _preserve_quarantine(checkpoint_dir):
     """Copy quarantined files into CHAOS_ARTIFACT_DIR when CI asks."""
     artifact_dir = os.environ.get("CHAOS_ARTIFACT_DIR", "")
@@ -62,52 +63,69 @@ def _preserve_quarantine(checkpoint_dir):
         shutil.copytree(quarantine, target, dirs_exist_ok=True)
 
 
-class TestWorkerKill:
-    def test_supervised_restart_is_event_identical(self, dataset, tmp_path):
-        config = _shard_config()
-        source = ChunkedSeriesSource(dataset.series, CHUNK)
-        baseline = parallel_stream_detect(source, config, n_workers=2)
+def _service_args(store, checkpoint=None, *extra):
+    args = [sys.executable, "-m", "repro.service", "--store", str(store),
+            "--days", "3"]
+    if checkpoint is not None:
+        args += ["--checkpoint", str(checkpoint)]
+    return args + list(extra)
 
-        plan = FaultPlan().kill_worker(at_chunk=8, worker=0)
-        registry = MetricsRegistry()
-        supervisor = WorkerSupervisor(
-            config, source, n_workers=2,
-            checkpoint_dir=tmp_path / "ckpt", checkpoint_every_chunks=3,
-            max_restarts=2, backoff_base=0.0, sleep=lambda seconds: None,
-            registry=registry, fault_hook=plan.hook)
-        report = supervisor.run()
 
-        assert plan.fired == 1
-        assert supervisor.restarts == 1
-        assert supervisor.degraded is True
-        assert report.events == baseline.events
-        assert report.n_bins_processed == baseline.n_bins_processed
-        # The restart is visible on every telemetry surface.
-        assert registry.value("worker_restarts") == 1
-        assert registry.value("degraded") == 1.0
-        snapshot = HealthSnapshot.from_registry(registry)
-        assert snapshot.worker_restarts == 1
-        assert snapshot.degraded is True
-        exposition = prometheus_exposition(registry)
-        assert "repro_worker_restarts_total 1.0" in exposition
-        assert "repro_degraded 1.0" in exposition
+def _service_env():
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH", "")]))
+    return env
 
-    def test_restart_budget_exhaustion_escalates(self, dataset, tmp_path):
-        config = _shard_config()
-        source = ChunkedSeriesSource(dataset.series, CHUNK)
-        plan = (FaultPlan()
-                .kill_worker(at_chunk=4, worker=0)
-                .kill_worker(at_chunk=6, worker=1)
-                .kill_worker(at_chunk=8, worker=0))
-        supervisor = WorkerSupervisor(
-            config, source, n_workers=2,
-            checkpoint_dir=tmp_path / "ckpt", checkpoint_every_chunks=3,
-            max_restarts=1, backoff_base=0.0, sleep=lambda seconds: None,
-            fault_hook=plan.hook)
-        with pytest.raises(RuntimeError):
-            supervisor.run()
-        assert supervisor.restarts == 1
-        assert supervisor.registry.value("worker_restarts") == 1
+
+def _final_json(stdout):
+    """The service's last stdout line is its result summary."""
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+class TestServiceKill:
+    def test_sigkilled_service_restarts_to_identical_table(self, tmp_path):
+        env = _service_env()
+        store = tmp_path / "events.sqlite"
+        checkpoint = tmp_path / "ckpt"
+        process = subprocess.Popen(
+            _service_args(store, checkpoint, "--checkpoint-every-chunks",
+                          "3", "--chunk-sleep", "0.2"),
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True)
+        try:
+            # Kill only once the second periodic checkpoint is on disk, so
+            # the restart resumes mid-stream from the checkpoint chain.
+            deadline = time.monotonic() + 120
+            while not (checkpoint / "manifest-000002.json").exists():
+                assert process.poll() is None, process.communicate()
+                assert time.monotonic() < deadline, "no second checkpoint"
+                time.sleep(0.01)
+            assert process.poll() is None, "the run finished before the kill"
+            process.send_signal(signal.SIGKILL)
+            stdout, _ = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == -signal.SIGKILL
+        assert "table_digest" not in stdout  # killed before its summary
+
+        resumed = subprocess.run(_service_args(store, checkpoint), env=env,
+                                 capture_output=True, text=True, timeout=300)
+        assert resumed.returncode == 0, resumed.stderr
+        resume_bin = int(resumed.stdout.split("resume_bin=")[1].split()[0])
+        assert resume_bin > 0  # restored from the chain, not started over
+        result = _final_json(resumed.stdout)
+        assert not result["interrupted"]
+
+        reference = subprocess.run(
+            _service_args(tmp_path / "reference.sqlite"), env=env,
+            capture_output=True, text=True, timeout=300)
+        assert reference.returncode == 0, reference.stderr
+        assert (result["table_digest"]
+                == _final_json(reference.stdout)["table_digest"])
 
 
 class TestCheckpointCorruption:

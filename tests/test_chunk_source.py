@@ -19,7 +19,6 @@ from repro.streaming import (
     StreamingConfig,
     stream_detect,
 )
-from repro.streaming.parallel import WorkerSupervisor
 from repro.streaming.sources import (
     AsyncChunkSource,
     IterableChunkSource,
@@ -134,16 +133,6 @@ class TestDeprecatedShapes:
         with pytest.raises(TypeError):
             synthetic_chunk_stream(chunk_size=CHUNK, max_blocks=2,
                                    start_block=1)
-
-    def test_supervisor_source_factory_keyword_is_rejected(self):
-        with pytest.raises(TypeError):
-            WorkerSupervisor(CONFIG,
-                             source_factory=lambda start_bin: iter([]))
-
-    def test_supervisor_requires_exactly_one_source(self):
-        with pytest.raises(ValueError, match="source is required"):
-            WorkerSupervisor(CONFIG)
-
 
 class TestServiceAutoResume:
     def test_restarted_service_positions_a_resumable_source(

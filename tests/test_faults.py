@@ -1,97 +1,14 @@
 """Unit tests of the fault-injection primitives (``repro.faults``).
 
 The chaos invariants themselves live in ``tests/test_chaos.py``; these
-tests pin down the primitives' contracts — deterministic schedules,
-fire-exactly-once semantics, seeded corruption, input validation.
+tests pin down the primitives' contracts — seeded corruption, the
+always-failing sink, input validation.
 """
 
 import pytest
 
-from repro.faults import FailingSink, FaultInjection, FaultPlan
+from repro.faults import FailingSink
 from repro.faults.corrupt import corrupt_checkpoint
-
-
-class _FakeProcess:
-    def __init__(self):
-        self.killed = False
-
-    def kill(self):
-        self.killed = True
-
-    def join(self):
-        pass
-
-
-class _FakePool:
-    def __init__(self, n_workers):
-        self.processes = [_FakeProcess() for _ in range(n_workers)]
-
-
-class TestFaultPlan:
-    def test_kill_fires_once_at_scheduled_chunk(self):
-        plan = FaultPlan().kill_worker(at_chunk=3, worker=1)
-        pool = _FakePool(2)
-        plan.hook(2, pool)
-        assert not pool.processes[1].killed
-        plan.hook(3, pool)
-        assert pool.processes[1].killed
-        assert plan.fired == 1
-        # A restarted attempt replaying the same chunks must not re-kill.
-        fresh_pool = _FakePool(2)
-        plan.hook(3, fresh_pool)
-        plan.hook(4, fresh_pool)
-        assert not fresh_pool.processes[1].killed
-        assert plan.pending() == []
-
-    def test_overdue_injection_fires_on_late_resume(self):
-        # A restart that resumes past the scheduled chunk still injects.
-        plan = FaultPlan().kill_worker(at_chunk=3, worker=0)
-        pool = _FakePool(1)
-        plan.hook(7, pool)
-        assert pool.processes[0].killed
-
-    def test_stall_uses_injected_sleep(self):
-        sleeps = []
-        plan = FaultPlan(sleep=sleeps.append).stall(at_chunk=2, seconds=0.5)
-        plan.hook(2, _FakePool(1))
-        assert sleeps == [0.5]
-
-    def test_reset_rearms_the_schedule(self):
-        plan = FaultPlan().kill_worker(at_chunk=0)
-        plan.hook(0, _FakePool(1))
-        assert plan.fired == 1
-        plan.reset()
-        assert plan.fired == 0
-        pool = _FakePool(1)
-        plan.hook(0, pool)
-        assert pool.processes[0].killed
-
-    def test_random_kills_are_seed_deterministic(self):
-        first = FaultPlan.random_kills(seed=7, n_chunks=20, n_workers=4,
-                                       n_kills=3)
-        second = FaultPlan.random_kills(seed=7, n_chunks=20, n_workers=4,
-                                        n_kills=3)
-        assert first.injections == second.injections
-        assert len(first.injections) == 3
-        assert all(1 <= i.at_chunk < 20 for i in first.injections)
-        different = FaultPlan.random_kills(seed=8, n_chunks=20, n_workers=4,
-                                           n_kills=3)
-        assert different.injections != first.injections
-
-    def test_describe_lists_schedule(self):
-        plan = (FaultPlan().kill_worker(at_chunk=2, worker=1)
-                .stall(at_chunk=5, seconds=0.25))
-        lines = plan.describe()
-        assert lines == ["chunk 2: kill worker 1",
-                         "chunk 5: stall feed 0.250s"]
-
-    def test_invalid_injections_rejected(self):
-        with pytest.raises(ValueError):
-            FaultInjection(kind="meteor", at_chunk=0)
-        with pytest.raises(ValueError):
-            FaultInjection(kind="kill_worker", at_chunk=-1)
-        with pytest.raises(ValueError):
-            FaultInjection(kind="stall", at_chunk=0, seconds=-1.0)
 
 
 class TestCorruptCheckpoint:

@@ -48,7 +48,6 @@ class TestExportRoundTrip:
         records = _records()
         assert export_flow_csv(records, path) == len(records)
         batches, stats = _read_all(str(path))
-        assert stats.engine == "numpy"
         assert stats.records == len(records)
         assert stats.bad_rows == 0
         assert stats.header_rows == 1
@@ -123,31 +122,17 @@ class TestDirtyDataPolicies:
         with pytest.raises(ValueError, match="bad flow-record row.*badaddr"):
             list(read_flow_batches(FIXTURE, on_bad_row="raise"))
 
-    def test_policy_and_engine_validation(self, tmp_path):
+    def test_policy_validation(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("")
         with pytest.raises(ValueError):
             list(read_flow_batches(str(path), on_bad_row="ignore"))
-        with pytest.raises(ValueError):
-            list(read_flow_batches(str(path), engine="polars"))
         with pytest.raises(ValueError):
             list(read_flow_batches(str(path), batch_rows=0))
         with pytest.raises(ValueError):
             list(read_flow_batches(str(path), workers=0))
         with pytest.raises(ValueError):
             list(read_flow_batches([]))
-
-    def test_pandas_engine_requires_pandas(self, tmp_path):
-        try:
-            import pandas  # noqa: F401
-            pytest.skip("pandas installed; the missing-engine error "
-                        "cannot fire")
-        except ImportError:
-            pass
-        path = tmp_path / "x.csv"
-        path.write_text("")
-        with pytest.raises(RuntimeError, match="pandas is not installed"):
-            list(read_flow_batches(str(path), engine="pandas"))
 
 
 class TestParallelParse:
@@ -195,13 +180,12 @@ class TestParallelParse:
 
 def test_parse_stats_merge_sums_counters():
     left = ParseStats(rows=3, records=2, bad_rows=1, header_rows=1,
-                      propagated_rows=0, engine="numpy")
+                      propagated_rows=0)
     right = ParseStats(rows=5, records=5, bad_rows=0, header_rows=1,
-                       propagated_rows=2, engine="")
+                       propagated_rows=2)
     merged = left.merge(right)
     assert merged == ParseStats(rows=8, records=7, bad_rows=1,
-                                header_rows=2, propagated_rows=2,
-                                engine="numpy")
+                                header_rows=2, propagated_rows=2)
 
 
 def test_nan_start_time_is_structurally_bad(tmp_path):
@@ -219,7 +203,7 @@ def test_nan_start_time_is_structurally_bad(tmp_path):
 # --------------------------------------------------------------------- #
 def _reference(text, on_bad_row):
     """Columns and stats of the per-line parser over the whole text."""
-    stats = ParseStats(engine="numpy")
+    stats = ParseStats()
     batch = csv_io._batch_line_fallback(text.splitlines(keepends=True),
                                         on_bad_row, stats)
     stats.records = batch.n_records

@@ -441,15 +441,6 @@ class TestStreamingEdgeCases:
         engine.partial_fit(np.array([[2.0, 1.0, 5.0]]))
         assert engine.covariance().shape == (3, 3)
 
-    def test_sharded_covariance_weight_guard(self):
-        # The shard-parallel coordinator's engine guards like OnlinePCA,
-        # before any collect barrier reaches the workers.
-        from repro.streaming.parallel import _ShardScatterProxy
-        engine = _ShardScatterProxy(1.0, "bytes", pool=None)
-        engine.partial_fit(np.array([[1.0, 2.0, 3.0, 4.0]]))
-        with pytest.raises(ValueError):
-            engine.covariance()
-
 
 class TestLiveStreaming:
     def test_stream_detect_end_to_end(self, quickstart_dataset):
@@ -475,6 +466,28 @@ class TestLiveStreaming:
         post_warmup = [e for e in batch.events if e.start_bin >= warmup_end]
         parity = event_parity(post_warmup, report.events)
         assert parity.span_recall >= 0.6
+
+    def test_duplicate_traffic_types_are_deduped(self, quickstart_dataset):
+        # Regression: a duplicated type must not fold chunks twice into one
+        # detector's moments.
+        config = StreamingConfig(min_train_bins=128, recalibrate_every_bins=32)
+        series = quickstart_dataset.series
+        single = stream_detect(chunk_series(series, 48), config,
+                               traffic_types=[TrafficType.BYTES])
+        doubled = StreamingNetworkDetector(
+            config, traffic_types=[TrafficType.BYTES, TrafficType.BYTES])
+        for chunk in chunk_series(series, 48):
+            doubled.process_chunk(chunk)
+        report = doubled.finish()
+        engine = doubled.detector(TrafficType.BYTES).engine
+        assert engine.n_bins_seen == series.n_bins
+        assert event_parity(single.events, report.events).exact
+        assert set(report.detections) == {TrafficType.BYTES}
+
+    def test_empty_stream(self):
+        report = stream_detect(iter(()), StreamingConfig())
+        assert report.n_chunks_processed == 0
+        assert report.events == []
 
     def test_network_detector_requires_identification(self):
         with pytest.raises(ValueError):

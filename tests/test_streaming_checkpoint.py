@@ -139,11 +139,13 @@ class TestCheckpointRoundtrip:
 
     def test_manifest_with_retired_config_keys_restores(
             self, small_dataset, live_config, uninterrupted, tmp_path):
-        # Manifests written before the column-shard count and the parallel
-        # mode left StreamingConfig still carry both keys.
+        # Manifests written before the column-shard count, the parallel
+        # mode and shard mode's bus/poll knobs left StreamingConfig still
+        # carry those keys.
         path, manifest = self._saved(small_dataset, live_config,
                                      tmp_path / "ckpt")
-        manifest["meta"]["config"].update(n_shards=1, parallel_mode="type")
+        manifest["meta"]["config"].update(n_shards=1, parallel_mode="type",
+                                          bus_slots=8, poll_seconds=1.0)
         (path / MANIFEST_FILENAME).write_text(json.dumps(manifest))
 
         restored = load_checkpoint(path)

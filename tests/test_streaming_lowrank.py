@@ -12,7 +12,7 @@ The tracker promises three things, each tested here:
 3. **Drop-in integration** — detector calibration consumes the maintained
    basis directly, checkpoints round-trip bitwise with restart parity,
    ``merge_online_pca`` dispatches the small-core merge, and
-   ``compress_engine`` bridges from the exact/shard-parallel engines.
+   ``compress_engine`` bridges from exact and merged exact engines.
 """
 
 import numpy as np
@@ -22,7 +22,6 @@ from repro.evaluation import event_parity, report_parity
 from repro.streaming import (
     LowRankEigenTracker,
     OnlinePCA,
-    ShardWorkerMoments,
     StreamingConfig,
     StreamingNetworkDetector,
     StreamingSubspaceDetector,
@@ -344,26 +343,17 @@ class TestCompressEngine:
         assert tracker.weight_sum == exact.weight_sum
         assert tracker.n_bins_seen == exact.n_bins_seen
 
-    def test_compress_sharded_engine_then_continue_streaming(self):
-        """The sharding interop: ingest sharded exactly, compress, continue."""
-        from repro.streaming.parallel import _ShardScatterProxy
+    def test_compress_merged_engine_then_continue_streaming(self):
+        """The merge interop: ingest two segments exactly, fold them with
+        the Chan merge (as the hierarchy does), compress, continue."""
         rng = np.random.default_rng(19)
         matrix = _signal_stream(rng, 140, 24)
-        workers = [ShardWorkerMoments(i, 3) for i in range(3)]
-
-        class InProcessPool:
-            def collect_scatter(self, type_value, n_features):
-                scatter = np.empty((n_features, n_features))
-                for worker in workers:
-                    scatter[worker.columns, :] = worker.block
-                return scatter
-
-        # The shard-parallel coordinator's engine over 3 column shards.
-        sharded = _ShardScatterProxy(1.0, "bytes", InProcessPool())
+        first, second = OnlinePCA(), OnlinePCA()
+        first.partial_fit(matrix[:60])
+        second.partial_fit(matrix[60:100])
         reference = LowRankEigenTracker(rank=10)
-        for engine in workers + [sharded, reference]:
-            engine.partial_fit(matrix[:100])
-        tracker = compress_engine(sharded, rank=10)
+        reference.partial_fit(matrix[:100])
+        tracker = compress_engine(merge_online_pca(first, second), rank=10)
         tracker.partial_fit(matrix[100:])
         reference.partial_fit(matrix[100:])
         values, axes = tracker.eigenbasis()

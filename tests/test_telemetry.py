@@ -25,10 +25,10 @@ from repro.telemetry import (
 #: Number of randomized draws per property (seeded, so deterministic).
 N_TRIALS = 10
 
-_NAMES = ("bins_processed", "events", "stage_seconds", "worker_chunks",
+_NAMES = ("bins_processed", "events", "stage_seconds", "recalibrations",
           "lag")
 _LABELS = (None, {"type": "bytes"}, {"type": "flows"},
-           {"stage": "detect"}, {"worker": "shard-1"})
+           {"stage": "detect"}, {"stage": "recalibrate"})
 
 
 def _dyadic(rng, low, high):
@@ -154,19 +154,19 @@ class TestMergeAlgebra:
             assert left == right
 
     def test_merge_matches_single_stream(self):
-        """K worker registries folded == one registry fed everything."""
+        """K partial registries folded == one registry fed everything."""
         rng = np.random.default_rng(20040704)
         for _ in range(N_TRIALS):
             observations = rng.integers(
                 0, 80, size=int(rng.integers(5, 40))) / 8.0
-            n_workers = int(rng.integers(2, 5))
+            n_parts = int(rng.integers(2, 5))
             whole = MetricsRegistry()
-            parts = [MetricsRegistry() for _ in range(n_workers)]
+            parts = [MetricsRegistry() for _ in range(n_parts)]
             for i, value in enumerate(observations):
                 whole.counter("n").inc()
                 whole.histogram("h").observe(value)
-                parts[i % n_workers].counter("n").inc()
-                parts[i % n_workers].histogram("h").observe(value)
+                parts[i % n_parts].counter("n").inc()
+                parts[i % n_parts].histogram("h").observe(value)
             folded = parts[0]
             for part in parts[1:]:
                 folded.merge(part)
@@ -233,7 +233,6 @@ class TestHealthSnapshot:
         registry.counter("events", {"type": "BF"}).inc(1)
         registry.counter("recalibrations", {"type": "bytes"}).inc(5)
         registry.counter("recalibrations", {"type": "flows"}).inc(5)
-        registry.counter("worker_chunks", {"worker": "shard-0"}).inc(12)
         registry.histogram("stage_seconds", {"stage": "detect"}).observe(0.01)
         return registry
 
@@ -246,7 +245,6 @@ class TestHealthSnapshot:
         assert snapshot.events_total == 4
         assert snapshot.events_by_type == {"B": 3, "BF": 1}
         assert snapshot.recalibrations == 10  # summed over the type labels
-        assert snapshot.workers == {"shard-0": 12}
         assert snapshot.stage_seconds["detect"]["count"] == 1
 
     def test_write_read_round_trip(self, tmp_path):
@@ -263,7 +261,7 @@ class TestHealthSnapshot:
         table = render_status_table(snapshot)
         assert "bins processed     576" in table
         assert "recalibrations     10" in table
-        assert "shard-0" in table
+        assert "detect" in table
 
 
 class TestPrometheusExposition:
@@ -299,13 +297,13 @@ class TestTelemetryFacade:
 
         assert Telemetry.from_config(Disabled()) is None
 
-    def test_worker_gets_suffixed_trace_and_no_snapshot(self, tmp_path):
+    def test_config_paths_are_used_verbatim(self, tmp_path):
         config = self._Config()
         config.telemetry_trace_path = str(tmp_path / "trace.jsonl")
         config.telemetry_snapshot_path = str(tmp_path / "health.json")
-        worker = Telemetry.from_config(config, worker="shard-2")
-        assert worker.tracer.sink.path.endswith("trace.jsonl.shard-2")
-        assert worker.snapshot_path == ""  # snapshots are coordinator-only
+        telemetry = Telemetry.from_config(config)
+        assert telemetry.tracer.sink.path == config.telemetry_trace_path
+        assert telemetry.snapshot_path == config.telemetry_snapshot_path
 
     def test_state_round_trip_keeps_counters_drops_spans(self):
         telemetry = Telemetry.from_config(self._Config())
@@ -402,6 +400,26 @@ class TestSnapshotWriteRaces:
             loaded = HealthSnapshot.read(str(path))
         assert loaded.bins_processed == 7
         assert not hasattr(loaded, "hyperdrive_engaged")
+
+    def test_retired_worker_fields_load_without_warning(self, tmp_path):
+        """Snapshots written while shard mode existed carry its worker
+        fields; they are dropped silently and the rest still renders."""
+        import warnings
+
+        path = tmp_path / "health.json"
+        self._snapshot().write(str(path))
+        data = json.loads(path.read_text())
+        data.update(workers={"shard-0": 12, "shard-1": 11},
+                    worker_restarts=1, degraded=True)
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = HealthSnapshot.read(str(path))
+        assert loaded.bins_processed == 7
+        assert not hasattr(loaded, "workers")
+        table = render_status_table(loaded)
+        assert "bins processed     7" in table
+        assert "worker" not in table
 
     def test_known_fields_do_not_warn(self, tmp_path):
         import warnings

@@ -1,12 +1,11 @@
-"""End-to-end telemetry: instrumented runs, checkpoints, merged snapshots.
+"""End-to-end telemetry: instrumented runs, checkpoints, snapshots.
 
 The acceptance contract of the telemetry plane:
 
 * enabling it never changes an event (bit-identical reports on/off);
 * the written :class:`HealthSnapshot` reconciles **exactly** with the
   :class:`StreamingReport` of the same run — bins, events by type,
-  recalibrations — including across worker processes in the parallel
-  drivers (registries merged over the result pipes);
+  recalibrations;
 * counters survive checkpoint → restore, in-flight spans do not;
 * ``tools/status.py`` renders a snapshot file without the package
   installed (PYTHONPATH=src is enough).
@@ -25,7 +24,6 @@ from repro.streaming import (
     StreamingConfig,
     StreamingNetworkDetector,
     chunk_series,
-    parallel_stream_detect,
     stream_detect,
 )
 from repro.telemetry import HealthSnapshot
@@ -138,39 +136,6 @@ class TestCheckpointRestore:
         # half — the restart-parity discipline extended to the counters.
         _assert_reconciles(snapshot, report)
         assert report.runtime_seconds > 0.0
-
-
-class TestParallelDrivers:
-    @pytest.mark.parametrize("n_workers", [2, 3],
-                             ids=lambda n: f"shard-{n}")
-    def test_merged_snapshot_reconciles(self, small_dataset, base_config,
-                                        plain_report, tmp_path, n_workers):
-        config = _telemetry_config(base_config, tmp_path)
-        report = parallel_stream_detect(
-            chunk_series(small_dataset.series, CHUNK), config,
-            n_workers=n_workers)
-        assert report.events == plain_report.events
-        snapshot = HealthSnapshot.read(config.telemetry_snapshot_path)
-        _assert_reconciles(snapshot, report)
-        assert snapshot.recalibrations > 0
-        # Every worker shipped its registry: per-worker chunk counts merged.
-        assert sorted(snapshot.workers) == [f"shard-{i}"
-                                            for i in range(n_workers)]
-        assert all(count == report.n_chunks_processed
-                   for count in snapshot.workers.values())
-        # Worker-side stage timings arrived too ("update" runs remotely).
-        assert snapshot.stage_seconds["update"]["count"] > 0
-        assert report.runtime_seconds > 0.0
-        assert report.bins_per_second > 0.0
-
-    def test_worker_trace_files_are_suffixed(self, small_dataset,
-                                             base_config, tmp_path):
-        config = _telemetry_config(base_config, tmp_path)
-        parallel_stream_detect(chunk_series(small_dataset.series, CHUNK),
-                               config, n_workers=2)
-        names = sorted(os.listdir(tmp_path))
-        assert "trace.jsonl.shard-0" in names
-        assert "trace.jsonl.shard-1" in names
 
 
 class TestStatusCli:

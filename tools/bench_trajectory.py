@@ -22,7 +22,7 @@ metric beyond a tolerance:
   are recorded in the trajectory but never gated — they are machine-bound,
   ratios are not — and a record whose own ``gate.enforced`` is false
   (the benchmark itself judged this machine un-baselined, e.g.
-  ``BENCH_DISTRIBUTED_NO_GATE`` on a small CI runner) has its speedup ratios
+  ``BENCH_INGEST_NO_GATE`` on a small CI runner) has its speedup ratios
   skipped too.  Parity recalls are always gated, but a benchmark that
   documents its own looser floor in the record's gate (e.g.
   ``gate.span_recall_floor``) wins over ``baseline - recall_tolerance``:
