@@ -8,11 +8,11 @@ feed one live diagnosis from many sites:
    chunks with bounded backpressure and watermarks while the synchronous
    driver consumes them unchanged;
 2. a **2-PoP hierarchy** (``HierarchicalNetworkDetector``): each PoP
-   ingests only its own chunks, the global detector folds the per-PoP
-   moment engines with the exact parallel-moments merge — event-identical
-   to the flat run — and **checkpointing the hierarchy checkpoints the
-   merged state**: the saved directory restores as a flat detector that
-   finishes the stream with the identical remaining events.
+   folds only its own chunks into its own moments, and detection reads
+   their exact parallel-moments merge — event-identical to the flat run —
+   and **checkpointing the hierarchy checkpoints the merged state**: the
+   saved directory restores as a flat detector that finishes the stream
+   with the identical remaining events.
 
 Run with::
 

@@ -130,16 +130,16 @@ def round_trip_check(
     ingest_source = FlowCsvSource(
         csv_path, config=ingest_config, resolver=resolver,
         od_pairs=od_pairs)
-    ingest_chunks = list(ingest_source)
+    parsed_chunks = list(ingest_source)
 
     max_diff = 0.0
     identical = True
     direct_chunks = list(direct_source)
-    if len(direct_chunks) != len(ingest_chunks):
+    if len(direct_chunks) != len(parsed_chunks):
         identical = False
         max_diff = float("inf")
     else:
-        for direct, ingest in zip(direct_chunks, ingest_chunks):
+        for direct, ingest in zip(direct_chunks, parsed_chunks):
             for traffic_type in direct.traffic_types:
                 a = direct.matrix(traffic_type)
                 b = ingest.matrix(traffic_type)

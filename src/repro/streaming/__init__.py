@@ -38,12 +38,11 @@ detects in one shot; this package turns that into an online system:
    drift rate, freeze-on-alarm — so non-stationary weeks are thresholded
    against the recent clean-statistic tail instead of the lagging
    parametric limits;
-9. :mod:`repro.streaming.hierarchy` aggregates per-PoP ingestion leaves
-   into one global detector by merging **models**
-   (:func:`~repro.streaming.online_pca.merge_online_pca`, the exact Chan
-   parallel-moments combine) instead of shipping raw data —
-   event-identical to the flat run, and checkpointable as the merged flat
-   state.
+9. :mod:`repro.streaming.hierarchy` is the network detector with per-PoP
+   ingestion: each PoP folds its own chunks into its own moments, and the
+   detector reads the exact Chan merge of them
+   (:func:`~repro.streaming.online_pca.merge_online_pca`) instead of
+   shipping raw data — the flat run's chunk loop, events and checkpoint.
 
 Detection runs in one process.  A checkpoint-restarted run and the
 hierarchy both emit the same events as an uninterrupted flat run.

@@ -100,11 +100,10 @@ def save_checkpoint(detector: StreamingNetworkDetector,
                     keep_generations: int = DEFAULT_KEEP_GENERATIONS) -> Path:
     """Write *detector*'s complete state into *directory*.
 
-    *detector* may also be any object exposing ``to_network_detector()``
-    (e.g. a :class:`~repro.streaming.hierarchy.HierarchicalNetworkDetector`):
-    the checkpoint then persists the **merged** flat state, so every
-    checkpoint on disk — flat or hierarchical — has one
-    format and restores through :func:`load_checkpoint` into an ordinary
+    A :class:`~repro.streaming.hierarchy.HierarchicalNetworkDetector` is a
+    network detector whose ``state_dict()`` already holds the merged flat
+    state, so every checkpoint on disk — flat or per-PoP — has one format
+    and restores through :func:`load_checkpoint` into an ordinary
     single-process detector.
 
     The directory is created if needed.  Overwriting an existing checkpoint
@@ -118,23 +117,17 @@ def save_checkpoint(detector: StreamingNetworkDetector,
     manifest paired with the wrong arrays file is rejected at load time by
     the recorded SHA-256 instead of silently resuming from corrupt state.
     """
-    # The lineage check must see the *original* object's run id: the
-    # hierarchical detector's to_network_detector() (inside the inner save)
-    # builds a fresh flat detector — and a fresh id — on every call.
     require(int(keep_generations) >= 1, "keep_generations must be >= 1")
-    run_id = getattr(detector, "run_id", None)
-    _require_same_lineage(Path(directory), run_id)
+    _require_same_lineage(Path(directory), getattr(detector, "run_id", None))
     telemetry = getattr(detector, "_telemetry", None)
     if telemetry is None:
-        return _save_checkpoint(detector, directory, run_id,
-                                int(keep_generations))
+        return _save_checkpoint(detector, directory, int(keep_generations))
     # Count first: the registry is serialized inside the save, so the
     # checkpoint (and a run restored from it) includes its own write.
     telemetry.registry.counter(
         "checkpoints", help="Checkpoints written").inc()
     with telemetry.span("checkpoint"):
-        path = _save_checkpoint(detector, directory, run_id,
-                                int(keep_generations))
+        path = _save_checkpoint(detector, directory, int(keep_generations))
     return path
 
 
@@ -191,17 +184,10 @@ def _write_manifest(text: str, target: Path) -> None:
 
 def _save_checkpoint(detector: StreamingNetworkDetector,
                      directory: Union[str, Path],
-                     run_id=None,
                      keep_generations: int = DEFAULT_KEEP_GENERATIONS) -> Path:
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
-    if hasattr(detector, "to_network_detector"):
-        detector = detector.to_network_detector()
     state = detector.state_dict()
-    if run_id is not None:
-        # The checkpoint's lineage is the *saving* object's, not the
-        # throwaway merged detector's (hierarchical saves).
-        state["meta"]["run_id"] = run_id
     arrays = state["arrays"]
     generation = _next_generation(path)
 

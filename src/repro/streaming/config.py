@@ -12,8 +12,10 @@ __all__ = ["StreamingConfig", "forgetting_from_half_life"]
 
 #: Fields older checkpoint manifests carry that the config no longer has:
 #: the single-process column-shard count, the type-parallel mode switch,
-#: and the shard-mode chunk-bus ring length and worker liveness poll.
-RETIRED_FIELDS = ("n_shards", "parallel_mode", "bus_slots", "poll_seconds")
+#: the shard-mode chunk-bus ring length and worker liveness poll, and the
+#: hierarchy's default PoP count (now only its constructor argument).
+RETIRED_FIELDS = ("n_shards", "parallel_mode", "bus_slots", "poll_seconds",
+                  "n_pops")
 
 
 def forgetting_from_half_life(half_life_bins: float) -> float:
@@ -109,11 +111,6 @@ class StreamingConfig:
         aggregator untouched — ingestion-side glitches (a collector
         emitting NaNs, a truncated export) degrade coverage instead of
         killing the run.
-    n_pops:
-        Default leaf count of the hierarchical detector
-        (:class:`~repro.streaming.hierarchy.HierarchicalNetworkDetector`):
-        how many per-PoP ingestion detectors feed the global one.  ``1``
-        collapses the hierarchy to a flat run.
     telemetry:
         Master switch of the observability layer
         (:mod:`repro.telemetry`).  ``False`` (the default) keeps every
@@ -157,7 +154,6 @@ class StreamingConfig:
     adaptive_block_bins: int = 32
     adaptive_freeze_factor: float = 4.0
     on_bad_chunk: str = "raise"
-    n_pops: int = 1
     telemetry: bool = False
     telemetry_sample_rate: float = 0.05
     telemetry_seed: int = 0
@@ -195,7 +191,6 @@ class StreamingConfig:
                 "adaptive_freeze_factor must be > 1")
         require(self.on_bad_chunk in ("raise", "quarantine"),
                 "on_bad_chunk must be 'raise' or 'quarantine'")
-        require(self.n_pops >= 1, "n_pops must be >= 1")
         require(0.0 <= self.telemetry_sample_rate <= 1.0,
                 "telemetry_sample_rate must be in [0, 1]")
         require(self.telemetry_snapshot_every_chunks >= 1,

@@ -301,17 +301,6 @@ class StreamingSubspaceDetector:
         """Stream-global index of the next expected bin."""
         return self._next_bin
 
-    def advance_to(self, next_bin: int) -> None:
-        """Record the stream position without ingesting or detecting.
-
-        Used by drivers that split training and detection across objects
-        (the hierarchical global detector detects chunks its *leaves*
-        ingested), so a later checkpoint carries the true position.
-        """
-        require(next_bin >= self._next_bin,
-                "the stream position can only move forward")
-        self._next_bin = int(next_bin)
-
     # ------------------------------------------------------------------ #
     # training
     # ------------------------------------------------------------------ #
@@ -378,21 +367,6 @@ class StreamingSubspaceDetector:
         )
         self._bins_at_calibration = engine.n_bins_seen
         return self._snapshot
-
-    def maybe_calibrate(self) -> None:
-        """Recalibrate when due: trainable and past the refresh cadence.
-
-        The cadence check both drivers share — the flat ``process_chunk``
-        and the hierarchical global detector call this after new bins land
-        in the engine, so their snapshots refresh at the identical stream
-        positions.
-        """
-        if not self._trainable():
-            return
-        stale = (self._engine.n_bins_seen - self._bins_at_calibration
-                 >= self._config.recalibrate_every_bins)
-        if self._snapshot is None or stale:
-            self.calibrate()
 
     # ------------------------------------------------------------------ #
     # detection
@@ -521,7 +495,11 @@ class StreamingSubspaceDetector:
         matrix = ensure_2d(chunk, "chunk")
         start = self._next_bin if start_bin is None else start_bin
         self.ingest(matrix)
-        self.maybe_calibrate()
+        if self._trainable() and (
+                self._snapshot is None
+                or self._engine.n_bins_seen - self._bins_at_calibration
+                >= self._config.recalibrate_every_bins):
+            self.calibrate()
         if self._snapshot is None:
             result = ChunkDetections(start_bin=start, n_bins=matrix.shape[0],
                                      warmup=True)

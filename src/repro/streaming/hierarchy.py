@@ -1,107 +1,94 @@
-"""Hierarchical detector aggregation: per-PoP leaves, one global model.
+"""Hierarchical detector aggregation: per-PoP ingestion, one global model.
 
 The paper's network-wide method is centralized: every link/OD-flow
 measurement reaches one place where the ensemble is decomposed.  Deployed
 at an ISP, measurements arrive *per PoP* — each PoP's collector sees only
 its own slice of the timeline — and shipping every raw chunk to one host
 just moves the bottleneck.  This module keeps ingestion local and
-aggregates **models** instead of data:
+aggregates **models** instead of data.
 
-* each **leaf** is an ordinary
-  :class:`~repro.streaming.pipeline.StreamingNetworkDetector` fed only the
-  chunks its PoP collected (training-only, via
-  :meth:`~repro.streaming.pipeline.StreamingNetworkDetector.ingest_chunk`);
-* the **global** per-type detectors own no moments of their own: their
-  engine is a :class:`_MergedEngine` view that folds the leaves' moment
-  engines together with the exact Chan parallel-moments combine
-  (:func:`~repro.streaming.online_pca.merge_online_pca` /
-  :func:`~repro.streaming.low_rank.merge_low_rank`) on demand —
-  ``O(K p²)`` per refresh, independent of how many bins the leaves hold;
-* calibration cadence, detection, identification, and event fusion all run
-  through the same code paths as the flat pipeline, so a hierarchical run
-  over the identical chunk sequence emits the identical event list
-  (``forgetting = 1`` makes the merge order-free; enforced by
-  ``tests/test_streaming_hierarchy.py``).
+:class:`HierarchicalNetworkDetector` *is* a
+:class:`~repro.streaming.pipeline.StreamingNetworkDetector`; only its
+per-type moment engine differs.  That engine, :class:`_MergedEngine`,
+holds one moment engine per PoP: a chunk folds into the engine of the PoP
+that collected it, and every read (calibration, checkpoint) goes to the
+exact Chan parallel-moments fold of the per-PoP engines
+(:func:`~repro.streaming.online_pca.merge_online_pca`), cached until a
+PoP ingests again — ``O(K p²)`` per refresh, independent of how many bins
+the PoPs hold.  Everything else — the bad-chunk policy, calibration
+cadence, detection, identification, event fusion, warm-up and runtime
+accounting, telemetry, the ``on_events`` hook and ``finish()`` — is the
+flat detector's own chunk loop, so a hierarchical run over the identical
+chunk sequence emits the identical report (``forgetting = 1`` makes the
+merge order-free; enforced by ``tests/test_streaming_hierarchy.py``).
 
-Checkpointing: :meth:`HierarchicalNetworkDetector.to_network_detector`
-materializes the merged state as a plain flat detector, so **checkpointing
-a hierarchy is checkpointing the merged state** — the saved
-directory restores through the ordinary
-:func:`~repro.streaming.checkpoint.load_checkpoint` and resumes as a
-single-process run with the identical remaining events.
+What is hierarchical is the bookkeeping around that loop: routing chunks
+to PoPs, the watermark deadline that quarantines a silent PoP (its
+moments leave the fold until it produces again), and the coverage and
+leaf-lag gauges.
+
+Checkpointing: the merged engine serializes as a plain
+:class:`~repro.streaming.online_pca.OnlinePCA`, so the hierarchy's
+``state_dict()`` **is** a flat checkpoint of the merged state — it saves
+through the ordinary :func:`~repro.streaming.checkpoint.save_checkpoint`
+and restores as a single-process run with the identical remaining events.
 """
 
 from __future__ import annotations
 
-import time
-import uuid
 from functools import reduce
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.events import AnomalyEvent
 from repro.flows.timeseries import TrafficType
-from repro.streaming.aggregator import OnlineEventAggregator
 from repro.streaming.config import StreamingConfig
-from repro.streaming.detector import ChunkDetections, StreamingSubspaceDetector
+from repro.streaming.detector import StreamingSubspaceDetector, make_engine
 from repro.streaming.online_pca import OnlinePCA, merge_online_pca
-from repro.streaming.pipeline import (
-    StreamingNetworkDetector,
-    StreamingReport,
-    _dedup_types,
-    _fuse_chunk_results,
-)
+from repro.streaming.pipeline import StreamingNetworkDetector
 from repro.streaming.sources import TrafficChunk
-from repro.telemetry import Telemetry
 from repro.utils.validation import require
 
 __all__ = ["HierarchicalNetworkDetector"]
 
 
 class _MergedEngine:
-    """A read-only moment engine that is the merge of the leaves' engines.
+    """One moment engine per PoP behind the single-engine surface.
 
-    Exposes exactly the engine surface
-    :class:`~repro.streaming.detector.StreamingSubspaceDetector` needs for
-    calibration (``n_bins_seen`` / ``rank`` / ``n_samples`` / ``mean`` /
-    ``eigenbasis`` / ``covariance`` / ``state_dict``) by delegating to a
-    cached :func:`~repro.streaming.online_pca.merge_online_pca` fold of the
-    per-leaf engines, rebuilt only when a leaf ingested new data (keyed on
-    the leaves' moment versions).  It never ingests: feeding data is the
-    leaves' job.
+    :meth:`partial_fit` folds a chunk into the engine of the PoP *route*
+    names; every read the detector makes (``n_bins_seen`` / ``rank`` /
+    ``n_samples`` / ``mean`` / ``eigenbasis`` / ``state_dict``) goes to a
+    cached :func:`~repro.streaming.online_pca.merge_online_pca` fold, in
+    PoP order, of the engines that hold data and are not quarantined.
     """
 
-    def __init__(self, leaves: Sequence[StreamingNetworkDetector],
-                 traffic_type: TrafficType, forgetting: float,
-                 quarantined: Optional[set] = None) -> None:
-        self._leaves = list(leaves)
-        self._type = TrafficType(traffic_type)
-        self._forgetting = forgetting
-        # Shared (by reference) with the owning hierarchy: leaves whose pop
-        # index is in this set are excluded from the fold, so a quarantined
-        # leaf's stale moments stop shaping the global model until it is
-        # reintegrated — at which point the exact merge folds everything it
-        # ingested (including while quarantined) back in.
-        self._quarantined = quarantined if quarantined is not None else set()
+    def __init__(self, config: StreamingConfig, n_pops: int,
+                 route: Callable[[], int], quarantined: set) -> None:
+        self._forgetting = config.forgetting
+        self._engines = [make_engine(config) for _ in range(n_pops)]
+        self._route = route
+        # Shared (by reference) with the owning hierarchy: a quarantined
+        # PoP's stale moments stop shaping the global model until it is
+        # reintegrated, when the exact merge folds them back in.
+        self._quarantined = quarantined
         self._cached: Optional[OnlinePCA] = None
         self._cache_key: Optional[Tuple] = None
 
-    def _leaf_engines(self) -> List[Tuple[int, object]]:
-        engines = []
-        for index, leaf in enumerate(self._leaves):
-            if index in self._quarantined:
-                continue
-            detector = leaf._detectors.get(self._type)
-            if detector is not None:
-                engines.append((index, detector.engine))
-        return engines
+    @property
+    def engines(self) -> Tuple:
+        """The per-PoP engines, indexed by PoP."""
+        return tuple(self._engines)
+
+    def partial_fit(self, chunk) -> None:
+        self._engines[self._route()].partial_fit(chunk)
 
     def merged(self):
-        """The folded engine, rebuilt when a leaf saw new data or the
+        """The folded engine, rebuilt when a PoP ingested or the
         quarantine set changed."""
-        engines = self._leaf_engines()
-        key = tuple((index, engine._version) for index, engine in engines)
+        engines = [(pop, engine) for pop, engine in enumerate(self._engines)
+                   if pop not in self._quarantined and engine.n_bins_seen]
+        key = tuple((pop, engine._version) for pop, engine in engines)
         if self._cached is None or key != self._cache_key:
             if not engines:
                 self._cached = OnlinePCA(forgetting=self._forgetting)
@@ -110,15 +97,6 @@ class _MergedEngine:
                                       [engine for _, engine in engines])
             self._cache_key = key
         return self._cached
-
-    # ----- the engine surface the detector's calibration path reads ----- #
-    @property
-    def forgetting(self) -> float:
-        return self._forgetting
-
-    @property
-    def n_features(self) -> Optional[int]:
-        return self.merged().n_features
 
     @property
     def n_bins_seen(self) -> int:
@@ -139,47 +117,40 @@ class _MergedEngine:
     def eigenbasis(self):
         return self.merged().eigenbasis()
 
-    def covariance(self) -> np.ndarray:
-        return self.merged().covariance()
-
-    def partial_fit(self, chunk) -> None:
-        raise NotImplementedError(
-            "the global engine is a merged view; ingest through the per-PoP "
-            "leaves (HierarchicalNetworkDetector.process_chunk)")
-
-    def state_dict(self) -> Dict[str, Dict]:
+    def state_dict(self):
         """The merged engine's state — a flat, restorable engine state."""
         return self.merged().state_dict()
 
 
-class HierarchicalNetworkDetector:
-    """Two-level detector: per-PoP ingestion leaves, one global model.
+class HierarchicalNetworkDetector(StreamingNetworkDetector):
+    """A network detector whose moments are ingested per PoP.
 
-    Drop-in compatible with the flat
-    :class:`~repro.streaming.pipeline.StreamingNetworkDetector` driving
-    loop — feed chunks through :meth:`process_chunk` (optionally naming the
-    PoP that collected each chunk) and :meth:`finish` at end of stream.
+    Feed chunks through :meth:`process_chunk`, optionally naming the PoP
+    that collected each chunk, and :meth:`finish` at end of stream —
+    exactly like the flat detector, whose report, hook, bad-chunk policy
+    and checkpoint it shares.
 
     Parameters
     ----------
     config:
-        Streaming configuration shared by the leaves and the global
-        detectors.  ``forgetting`` must be ``1.0``: only then is the Chan
-        moment merge order-free, which is what makes the hierarchy's global
-        model — and therefore its event list — independent of how chunks
-        were routed to PoPs and identical to a flat run.
+        Streaming configuration.  ``forgetting`` must be ``1.0``: only
+        then is the Chan moment merge order-free, which is what makes the
+        global model — and therefore the event list — independent of how
+        chunks were routed to PoPs and identical to a flat run.
     n_pops:
-        Number of ingestion leaves; defaults to ``config.n_pops``.  ``1``
-        collapses the hierarchy to an (equivalent) flat run.
+        Number of per-PoP engines; ``1`` is an (equivalent) flat run.
     traffic_types:
         Types to analyze; defaults to the types of the first chunk.
+    leaf_deadline_bins:
+        Watermark deadline: a PoP whose last chunk ends more than this
+        many bins behind the newest bin any PoP delivered is quarantined
+        (``None``: never automatically).
     """
 
     def __init__(self, config: StreamingConfig = StreamingConfig(),
-                 n_pops: Optional[int] = None,
+                 n_pops: int = 1,
                  traffic_types: Optional[Sequence[TrafficType]] = None,
                  leaf_deadline_bins: Optional[int] = None) -> None:
-        n_pops = config.n_pops if n_pops is None else n_pops
         require(n_pops >= 1, "n_pops must be >= 1")
         require(leaf_deadline_bins is None or leaf_deadline_bins >= 1,
                 "leaf_deadline_bins must be >= 1 when given")
@@ -187,88 +158,45 @@ class HierarchicalNetworkDetector:
                 "hierarchical aggregation requires forgetting == 1.0 (the "
                 "parallel-moments merge is only order-free without decay, "
                 "so a forgetting run would depend on the PoP routing)")
-        require(config.identify, "event fusion needs identified OD flows")
-        self._config = config
-        self._types: Optional[List[TrafficType]] = (
-            _dedup_types(traffic_types) if traffic_types is not None else None)
-        self._leaves = [StreamingNetworkDetector(config, traffic_types)
-                        for _ in range(n_pops)]
-        self._global: Dict[TrafficType, StreamingSubspaceDetector] = {}
-        self._aggregator = OnlineEventAggregator()
-        self._report = StreamingReport()
-        self._finished = False
-        self._chunk_index = 0
-        self._telemetry = Telemetry.from_config(config)
-        # The leaves share the hierarchy's bundle: one registry covers the
-        # whole tree (their per-type "update" spans land next to the global
-        # detectors' recalibrations), and leaves never write snapshots —
-        # only process_chunk/finish do, and those are hierarchy-level.
-        for leaf in self._leaves:
-            leaf._telemetry = self._telemetry
+        super().__init__(config, traffic_types)
         self._leaf_end_bin = [0] * n_pops
-        # Leaf quarantine: pops in this set stopped producing (missed the
-        # watermark deadline, crashed, or were quarantined by the operator)
-        # and are excluded from every _MergedEngine fold until reintegrated.
+        # PoPs in this set stopped producing (missed the watermark
+        # deadline, crashed, or were quarantined by the operator) and are
+        # excluded from every _MergedEngine fold until reintegrated.
         self._quarantined: set = set()
         self._leaf_deadline_bins = (None if leaf_deadline_bins is None
                                     else int(leaf_deadline_bins))
-        self._run_started: Optional[float] = None
-        # Lineage id for checkpoint-directory ownership: stable across the
-        # hierarchy's saves even though every save materializes a fresh
-        # merged flat detector (see repro.streaming.checkpoint).
-        self._run_id = uuid.uuid4().hex
-
-    # ------------------------------------------------------------------ #
-    # accessors
-    # ------------------------------------------------------------------ #
-    @property
-    def config(self) -> StreamingConfig:
-        """The streaming configuration."""
-        return self._config
-
-    @property
-    def run_id(self) -> str:
-        """Lineage id stamped into this hierarchy's checkpoints."""
-        return self._run_id
+        # The PoP the chunk in flight was routed to (read by the engines).
+        self._pop = 0
 
     @property
     def n_pops(self) -> int:
-        """Number of per-PoP ingestion leaves."""
-        return len(self._leaves)
-
-    @property
-    def report(self) -> StreamingReport:
-        """The report accumulated so far (shared object, updated in place)."""
-        return self._report
-
-    def leaf(self, pop: int) -> StreamingNetworkDetector:
-        """The ingestion detector of one PoP."""
-        return self._leaves[pop]
+        """Number of per-PoP engines."""
+        return len(self._leaf_end_bin)
 
     # ------------------------------------------------------------------ #
     # leaf quarantine
     # ------------------------------------------------------------------ #
     @property
     def quarantined_pops(self) -> frozenset:
-        """Indices of the currently quarantined leaves."""
+        """Indices of the currently quarantined PoPs."""
         return frozenset(self._quarantined)
 
     @property
     def coverage(self) -> float:
-        """Fraction of leaves contributing to the global model (0..1]."""
-        return (len(self._leaves) - len(self._quarantined)) / len(self._leaves)
+        """Fraction of PoPs contributing to the global model (0..1]."""
+        return (self.n_pops - len(self._quarantined)) / self.n_pops
 
     def quarantine_leaf(self, pop: int) -> None:
-        """Exclude one leaf from the global model until it returns.
+        """Exclude one PoP from the global model until it returns.
 
-        Global detection continues over the healthy leaves: the next
+        Detection continues over the healthy PoPs: the next
         :class:`_MergedEngine` refresh folds only their moments, and the
-        ``hierarchy_coverage`` gauge drops to match.  The leaf's own
-        ingested state is untouched — :meth:`reintegrate_leaf` (or a chunk
-        arriving for this pop) folds everything back via the exact merge.
+        ``hierarchy_coverage`` gauge drops to match.  The PoP's own
+        moments are untouched — :meth:`reintegrate_leaf` (or a chunk
+        arriving for this PoP) folds them back via the exact merge.
         """
-        require(0 <= pop < len(self._leaves),
-                f"pop must lie in [0, {len(self._leaves)})")
+        require(0 <= pop < self.n_pops, f"pop must lie in [0, {self.n_pops})")
         if pop in self._quarantined:
             return
         self._quarantined.add(pop)
@@ -276,12 +204,11 @@ class HierarchicalNetworkDetector:
             self._telemetry.registry.counter(
                 "leaf_quarantines",
                 help="Leaves quarantined (silent or crashed PoPs)").inc()
-        self._record_coverage()
+        self._record_gauges()
 
     def reintegrate_leaf(self, pop: int) -> None:
-        """Fold a returned leaf back into the global model (exact merge)."""
-        require(0 <= pop < len(self._leaves),
-                f"pop must lie in [0, {len(self._leaves)})")
+        """Fold a returned PoP back into the global model (exact merge)."""
+        require(0 <= pop < self.n_pops, f"pop must lie in [0, {self.n_pops})")
         if pop not in self._quarantined:
             return
         self._quarantined.discard(pop)
@@ -290,9 +217,9 @@ class HierarchicalNetworkDetector:
                 "leaf_reintegrations",
                 help="Quarantined leaves folded back into the global "
                 "model").inc()
-        self._record_coverage()
+        self._record_gauges()
 
-    def _record_coverage(self) -> None:
+    def _record_gauges(self) -> None:
         if self._telemetry is None:
             return
         registry = self._telemetry.registry
@@ -304,175 +231,63 @@ class HierarchicalNetworkDetector:
             "hierarchy_coverage",
             help="Fraction of leaves contributing to the global model").set(
                 self.coverage)
+        # Per-PoP ingestion lag: how far behind the global watermark (the
+        # newest bin any PoP delivered) each PoP's last chunk is.
+        watermark = max(self._leaf_end_bin)
+        for pop, end_bin in enumerate(self._leaf_end_bin):
+            registry.gauge(
+                "hierarchy_leaf_lag_bins", {"pop": str(pop)},
+                help="Bins between the global watermark and this "
+                "PoP's last ingested chunk").set(watermark - end_bin)
 
     def _enforce_leaf_deadline(self) -> None:
-        """Auto-quarantine leaves that fell past the watermark deadline."""
+        """Auto-quarantine PoPs that fell past the watermark deadline."""
         if self._leaf_deadline_bins is None:
             return
         watermark = max(self._leaf_end_bin)
         for pop, end_bin in enumerate(self._leaf_end_bin):
-            if pop in self._quarantined:
-                continue
-            if watermark - end_bin > self._leaf_deadline_bins:
+            if (pop not in self._quarantined
+                    and watermark - end_bin > self._leaf_deadline_bins):
                 self.quarantine_leaf(pop)
-
-    def global_detector(self, traffic_type: TrafficType) -> StreamingSubspaceDetector:
-        """The global (merged-engine) detector of one traffic type."""
-        return self._global[TrafficType(traffic_type)]
 
     # ------------------------------------------------------------------ #
     # streaming
     # ------------------------------------------------------------------ #
-    def _types_for(self, chunk: TrafficChunk) -> List[TrafficType]:
-        if self._types is None:
-            self._types = chunk.traffic_types
-        return self._types
-
-    @property
-    def telemetry(self) -> Optional[Telemetry]:
-        """The observability bundle shared by the whole tree (or ``None``)."""
-        return self._telemetry
-
-    def _global_for(self, traffic_type: TrafficType) -> StreamingSubspaceDetector:
-        detector = self._global.get(traffic_type)
+    def _detector_for(self, traffic_type: TrafficType) -> StreamingSubspaceDetector:
+        detector = self._detectors.get(traffic_type)
         if detector is None:
-            engine = _MergedEngine(self._leaves, traffic_type,
-                                   self._config.forgetting,
-                                   quarantined=self._quarantined)
+            engine = _MergedEngine(self._config, self.n_pops,
+                                   lambda: self._pop, self._quarantined)
             detector = StreamingSubspaceDetector(self._config, engine=engine)
             if self._telemetry is not None:
                 detector.bind_telemetry(self._telemetry,
                                         {"type": traffic_type.value})
-            self._global[traffic_type] = detector
+            self._detectors[traffic_type] = detector
         return detector
-
-    def _update_runtime(self) -> None:
-        if self._run_started is None:
-            return
-        runtime = time.perf_counter() - self._run_started
-        self._report.runtime_seconds = runtime
-        self._report.bins_per_second = (
-            self._report.n_bins_processed / runtime if runtime > 0 else 0.0)
-        if self._telemetry is not None:
-            self._telemetry.registry.gauge(
-                "runtime_seconds",
-                help="Wall-clock processing time so far").set(runtime)
 
     def process_chunk(self, chunk: TrafficChunk,
                       pop: Optional[int] = None) -> List[AnomalyEvent]:
         """Ingest *chunk* at one PoP, then detect it against the global model.
 
         *pop* names the PoP that collected the chunk; by default chunks are
-        routed round-robin (chunk index modulo ``n_pops``), which models
-        interleaved arrival.  The global model the chunk is tested against
-        always covers **everything every PoP ingested so far** — exactly
-        the model a flat run would hold at this stream position.
+        routed round-robin (processed-chunk count modulo ``n_pops``), which
+        models interleaved arrival.  A PoP that delivers a chunk counts as
+        alive (a quarantined one is reintegrated) even if the chunk is
+        malformed and the ``on_bad_chunk`` policy then skips it.  The
+        global model the chunk is tested against always covers everything
+        every non-quarantined PoP ingested so far — the model a flat run
+        would hold at this stream position.
         """
         require(not self._finished, "detector already finished")
-        pop = self._chunk_index % len(self._leaves) if pop is None else pop
-        require(0 <= pop < len(self._leaves),
-                f"pop must lie in [0, {len(self._leaves)})")
-        if self._run_started is None:
-            self._run_started = time.perf_counter()
-        tel = self._telemetry
-        if tel is not None:
-            tel.begin_chunk(self._chunk_index)
-        types = self._types_for(chunk)
-        if pop in self._quarantined:
-            # The leaf produced again: fold its state back (exact merge).
-            self.reintegrate_leaf(pop)
-        self._leaves[pop].ingest_chunk(chunk)
+        if pop is None:
+            pop = self._report.n_chunks_processed % self.n_pops
+        self.reintegrate_leaf(pop)  # also checks the pop's range
         self._leaf_end_bin[pop] = max(self._leaf_end_bin[pop], chunk.end_bin)
         self._enforce_leaf_deadline()
+        self._record_gauges()
+        self._pop = pop
+        return super().process_chunk(chunk)
 
-        results: Dict[TrafficType, ChunkDetections] = {}
-        for traffic_type in types:
-            detector = self._global_for(traffic_type)
-            detector.maybe_calibrate()
-            if detector.snapshot is None:
-                results[traffic_type] = ChunkDetections(
-                    start_bin=chunk.start_bin, n_bins=chunk.n_bins,
-                    warmup=True)
-            else:
-                results[traffic_type] = detector.detect_chunk(
-                    chunk.matrix(traffic_type), chunk.start_bin)
-            detector.advance_to(chunk.end_bin)
-        events = _fuse_chunk_results(results, chunk, self._aggregator,
-                                     self._report, tel)
-        if any(result.warmup for result in results.values()):
-            self._report.n_warmup_bins += chunk.n_bins
-            if tel is not None:
-                tel.registry.counter(
-                    "warmup_bins",
-                    help="Bins consumed before the model warmed up"
-                ).inc(chunk.n_bins)
-        self._chunk_index += 1
-        if tel is not None:
-            # Per-leaf ingestion lag: how far behind the global watermark
-            # (the newest bin any PoP delivered) each leaf's last chunk is.
-            watermark = max(self._leaf_end_bin)
-            for index, end_bin in enumerate(self._leaf_end_bin):
-                tel.registry.gauge(
-                    "hierarchy_leaf_lag_bins", {"pop": str(index)},
-                    help="Bins between the global watermark and this "
-                    "PoP's last ingested chunk").set(watermark - end_bin)
-            self._record_coverage()
-            tel.end_chunk()
-            self._update_runtime()
-            tel.maybe_write_snapshot(self._report.n_chunks_processed)
-        else:
-            self._update_runtime()
-        return events
-
-    def finish(self) -> StreamingReport:
-        """Flush the aggregator at end of stream and return the report."""
-        if not self._finished:
-            self._report.events.extend(self._aggregator.flush())
-            self._finished = True
-            self._update_runtime()
-            if self._telemetry is not None:
-                self._telemetry.write_snapshot()
-        return self._report
-
-    # ------------------------------------------------------------------ #
-    # checkpoint (merge, then persist flat)
-    # ------------------------------------------------------------------ #
     def to_network_detector(self) -> StreamingNetworkDetector:
-        """The merged state as an equivalent flat network detector.
-
-        Materializes every global detector's merged engine, snapshot, and
-        stream position plus the shared aggregator/report into an ordinary
-        :class:`~repro.streaming.pipeline.StreamingNetworkDetector`: fed
-        the remaining chunks, it continues with the identical event list —
-        and it checkpoints through the ordinary
-        :func:`~repro.streaming.checkpoint.save_checkpoint`.
-        """
-        flat = StreamingNetworkDetector(self._config, self._types)
-        for traffic_type, detector in self._global.items():
-            state = detector.state_dict()
-            twin = StreamingSubspaceDetector.from_state(
-                self._config, state["meta"], state["arrays"])
-            if flat._telemetry is not None:
-                twin.bind_telemetry(flat._telemetry,
-                                    {"type": traffic_type.value})
-            flat._detectors[traffic_type] = twin
-        flat._runtime_base = self._report.runtime_seconds
-        flat._aggregator = OnlineEventAggregator.from_state(
-            self._aggregator.state_dict())
-        flat._report = StreamingReport.from_dict(self._report.to_dict())
-        flat._finished = self._finished
-        if flat._telemetry is not None and self._telemetry is not None:
-            # The flat twin starts with a fresh bundle; carry the counters
-            # over so a hierarchy checkpoint preserves them like any other.
-            flat._telemetry.restore_state(self._telemetry.state_dict())
-        return flat
-
-    def save(self, directory) -> "HierarchicalNetworkDetector":
-        """Checkpoint the **merged** state (see :meth:`to_network_detector`).
-
-        The written directory is an ordinary flat checkpoint: restore with
-        :meth:`StreamingNetworkDetector.restore` and keep streaming.
-        """
-        from repro.streaming.checkpoint import save_checkpoint
-        save_checkpoint(self, directory)
-        return self
+        """The merged state as an equivalent flat network detector."""
+        return StreamingNetworkDetector.from_state(**self.state_dict())

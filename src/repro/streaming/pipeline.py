@@ -51,8 +51,8 @@ __all__ = ["StreamingReport", "StreamingNetworkDetector", "stream_detect",
 def _dedup_types(traffic_types: Iterable[TrafficType]) -> List[TrafficType]:
     """Normalize and dedup traffic types, keeping first-seen order.
 
-    Shared by the flat, replay and hierarchical drivers: a duplicate type
-    would fold chunks twice into one detector's moments.
+    Shared by the live and replay drivers: a duplicate type would fold
+    chunks twice into one detector's moments.
     """
     return list(dict.fromkeys(TrafficType(t) for t in traffic_types))
 
@@ -137,9 +137,9 @@ def _fuse_chunk_results(
 ) -> List[AnomalyEvent]:
     """Fold one chunk's per-type detections into the aggregator and report.
 
-    The single fusion step shared by live mode, the two-pass replay, and
-    the hierarchy: once every type delivered its detections for
-    the chunk's bins, the aggregator watermark advances and newly closed
+    The single fusion step shared by live mode (flat or per-PoP) and the
+    two-pass replay: once every type delivered its detections for the
+    chunk's bins, the aggregator watermark advances and newly closed
     events land in the report.  Being the one shared chokepoint also makes
     it the one place the bins/chunks/events telemetry counters increment —
     no driver can double-count.
@@ -347,22 +347,6 @@ class StreamingNetworkDetector:
                 "runtime_seconds",
                 help="Wall-clock processing time so far"
             ).set(runtime)
-
-    def ingest_chunk(self, chunk: TrafficChunk) -> None:
-        """Fold a chunk into the per-type moment engines without detecting.
-
-        The training-only half of :meth:`process_chunk`: no calibration, no
-        detection, no aggregator advance.  Used to pre-train on history and
-        by the hierarchical driver's per-PoP leaves, whose detection happens
-        at the global level (:mod:`repro.streaming.hierarchy`).
-        """
-        require(not self._finished, "detector already finished")
-        if self._run_started is None:
-            self._run_started = time.perf_counter()
-        if self._reject_bad_chunk(chunk):
-            return
-        for traffic_type in self._types_for(chunk):
-            self._detector_for(traffic_type).ingest(chunk.matrix(traffic_type))
 
     def process_chunk(self, chunk: TrafficChunk) -> List[AnomalyEvent]:
         """Consume one chunk; return events that closed because of it."""

@@ -124,6 +124,22 @@ class TestGracefulRestart:
             == sorted(reference["alert_keys"])
         resumed.close()
 
+    def test_restart_fed_the_full_plain_iterable(
+            self, service_config, week_chunks, reference, tmp_path):
+        service, store, _ = _service(service_config, tmp_path)
+        service.install_signal_handlers()
+        assert service.run(_sigterm_after(iter(week_chunks), 18)).interrupted
+        store.close()
+
+        # The restarted service skips the already-processed prefix of a
+        # plain iterable itself, as it does for a replayable source.
+        resumed, reopened, _ = _service(service_config, tmp_path)
+        assert resumed.resume_bin == 19 * CHUNK
+        final = resumed.run(iter(week_chunks))
+        assert not final.interrupted
+        assert reopened.table_digest() == reference["digest"]
+        resumed.close()
+
     def test_crash_replay_is_absorbed(self, service_config, week_chunks,
                                       reference, tmp_path):
         """A hard crash (no graceful checkpoint) replays chunks since the

@@ -140,12 +140,13 @@ class TestCheckpointRoundtrip:
     def test_manifest_with_retired_config_keys_restores(
             self, small_dataset, live_config, uninterrupted, tmp_path):
         # Manifests written before the column-shard count, the parallel
-        # mode and shard mode's bus/poll knobs left StreamingConfig still
-        # carry those keys.
+        # mode, shard mode's bus/poll knobs and the hierarchy's default
+        # PoP count left StreamingConfig still carry those keys.
         path, manifest = self._saved(small_dataset, live_config,
                                      tmp_path / "ckpt")
         manifest["meta"]["config"].update(n_shards=1, parallel_mode="type",
-                                          bus_slots=8, poll_seconds=1.0)
+                                          bus_slots=8, poll_seconds=1.0,
+                                          n_pops=2)
         (path / MANIFEST_FILENAME).write_text(json.dumps(manifest))
 
         restored = load_checkpoint(path)
@@ -343,9 +344,9 @@ class TestCheckpointLineage:
 
     def test_hierarchical_saves_keep_one_lineage(self, small_dataset,
                                                  live_config, tmp_path):
-        """Every hierarchical save goes through a throwaway merged flat
-        detector; the checkpoint must carry the hierarchy's own stable id,
-        so its repeated saves pass the lineage check."""
+        """A hierarchical save writes the merged flat state; the
+        checkpoint must carry the hierarchy's own stable id, so its
+        repeated saves pass the lineage check."""
         from repro.streaming.hierarchy import HierarchicalNetworkDetector
 
         chunks = _chunks(small_dataset)

@@ -36,7 +36,7 @@ def baseline_report(small_dataset, live_config):
                          live_config)
 
 
-def run_hierarchy(chunks, config, n_pops=None, pops=None):
+def run_hierarchy(chunks, config, n_pops=1, pops=None):
     detector = HierarchicalNetworkDetector(config, n_pops=n_pops)
     for i, chunk in enumerate(chunks):
         detector.process_chunk(chunk, pop=None if pops is None else pops[i])
@@ -65,25 +65,24 @@ class TestHierarchyParity:
                                pops=skewed).finish()
         assert event_parity(baseline_report.events, report.events).exact
 
-    def test_n_pops_defaults_from_config(self, small_dataset,
-                                         baseline_report):
+    def test_n_pops_defaults_to_one(self, small_dataset, baseline_report):
         config = StreamingConfig(min_train_bins=128,
-                                 recalibrate_every_bins=32, n_pops=3)
-        detector = run_hierarchy(chunk_series(small_dataset.series, CHUNK),
-                                 config)
-        assert detector.n_pops == 3
+                                 recalibrate_every_bins=32)
+        detector = HierarchicalNetworkDetector(config)
+        assert detector.n_pops == 1
+        for chunk in chunk_series(small_dataset.series, CHUNK):
+            detector.process_chunk(chunk)
         report = detector.finish()
         assert event_parity(baseline_report.events, report.events).exact
 
     def test_leaves_only_hold_their_share(self, small_dataset, live_config):
         chunks = list(chunk_series(small_dataset.series, CHUNK))
         detector = run_hierarchy(chunks, live_config, n_pops=2)
-        per_leaf = [detector.leaf(k).detector(TrafficType.BYTES)
-                    .engine.n_bins_seen for k in range(2)]
+        merged = detector.detector(TrafficType.BYTES).engine
+        per_leaf = [engine.n_bins_seen for engine in merged.engines]
         total = sum(chunk.n_bins for chunk in chunks)
         assert sum(per_leaf) == total
         assert all(0 < bins < total for bins in per_leaf)
-        merged = detector.global_detector(TrafficType.BYTES).engine
         assert merged.n_bins_seen == total
 
 
@@ -140,16 +139,6 @@ class TestHierarchyValidation:
             detector.process_chunk(chunk, pop=2)
         with pytest.raises(ValueError):
             HierarchicalNetworkDetector(live_config, n_pops=0)
-
-    def test_global_engine_rejects_direct_ingest(self, live_config):
-        detector = HierarchicalNetworkDetector(live_config, n_pops=2)
-        rng = np.random.default_rng(1)
-        chunk = TrafficChunk(start_bin=0, matrices={
-            TrafficType.BYTES: rng.random((8, 4)) + 1.0})
-        detector.process_chunk(chunk)
-        merged = detector.global_detector(TrafficType.BYTES).engine
-        with pytest.raises(NotImplementedError, match="merged view"):
-            merged.partial_fit(chunk.matrix(TrafficType.BYTES))
 
 
 class TestLeafQuarantine:
