@@ -329,11 +329,17 @@ class StreamingSubspaceDetector:
         tel = self._telemetry
         if tel is None:
             return self._calibrate()
+        fallbacks = self._engine.eigen_fallbacks
         with tel.span("recalibrate", **self._metric_labels):
             snapshot = self._calibrate()
         tel.registry.counter(
             "recalibrations", self._metric_labels,
             help="Subspace snapshot recalibrations").inc()
+        tel.registry.counter(
+            "eigen_fallbacks", self._metric_labels,
+            help="Recalibrations whose top-k eigenbasis missed the filtered "
+                 "route's tolerance and ran the full eigh").inc(
+            self._engine.eigen_fallbacks - fallbacks)
         self._record_model_gauges()
         return snapshot
 
@@ -342,10 +348,11 @@ class StreamingSubspaceDetector:
                 "not enough ingested data to calibrate the subspace model")
         config = self._config
         engine = self._engine
-        # For the exact engines this is the (cached) O(p³) eigh of the
-        # maintained covariance; a LowRankEigenTracker hands back its
-        # incrementally maintained basis directly — nothing is decomposed.
-        eigenvalues, axes = engine.eigenbasis()
+        # For the exact engines this is the (cached) eigvalsh spectrum plus
+        # the top-k axes of the maintained covariance (a full eigh for
+        # small p); a LowRankEigenTracker hands back its incrementally
+        # maintained basis directly — nothing is decomposed.
+        eigenvalues, axes = engine.eigenbasis(config.n_normal)
         require(axes.shape[1] >= config.n_normal,
                 f"engine tracks only {axes.shape[1]} axes but the normal "
                 f"subspace needs {config.n_normal}; increase the tracked "
@@ -359,7 +366,7 @@ class StreamingSubspaceDetector:
         )
         self._snapshot = SubspaceSnapshot(
             mean=engine.mean.copy(),
-            normal_axes=axes[:, :config.n_normal],
+            normal_axes=axes,
             eigenvalues=eigenvalues,
             n_samples=engine.n_samples,
             limits=limits,

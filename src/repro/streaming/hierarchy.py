@@ -21,6 +21,8 @@ accounting, telemetry, the ``on_events`` hook and ``finish()`` — is the
 flat detector's own chunk loop, so a hierarchical run over the identical
 chunk sequence emits the identical report (``forgetting = 1`` makes the
 merge order-free; enforced by ``tests/test_streaming_hierarchy.py``).
+Only the exact engine is accepted: a low-rank merge truncates to the
+tracked rank at every fold, so its events would depend on the PoP split.
 
 What is hierarchical is the bookkeeping around that loop: routing chunks
 to PoPs, the watermark deadline that quarantines a silent PoP (its
@@ -114,8 +116,12 @@ class _MergedEngine:
     def mean(self) -> np.ndarray:
         return self.merged().mean
 
-    def eigenbasis(self):
-        return self.merged().eigenbasis()
+    @property
+    def eigen_fallbacks(self) -> int:
+        return self.merged().eigen_fallbacks
+
+    def eigenbasis(self, n_axes=None):
+        return self.merged().eigenbasis(n_axes)
 
     def state_dict(self):
         """The merged engine's state — a flat, restorable engine state."""
@@ -137,6 +143,8 @@ class HierarchicalNetworkDetector(StreamingNetworkDetector):
         then is the Chan moment merge order-free, which is what makes the
         global model — and therefore the event list — independent of how
         chunks were routed to PoPs and identical to a flat run.
+        ``engine`` must be ``"exact"``: the low-rank merge truncates at
+        every fold, so its result depends on the PoP split.
     n_pops:
         Number of per-PoP engines; ``1`` is an (equivalent) flat run.
     traffic_types:
@@ -158,6 +166,11 @@ class HierarchicalNetworkDetector(StreamingNetworkDetector):
                 "hierarchical aggregation requires forgetting == 1.0 (the "
                 "parallel-moments merge is only order-free without decay, "
                 "so a forgetting run would depend on the PoP routing)")
+        require(config.engine == "exact",
+                "hierarchical aggregation requires engine='exact' (the "
+                "low-rank merge truncates to the tracked rank at every "
+                "fold, so a per-PoP run's events would differ from the "
+                "flat run's)")
         super().__init__(config, traffic_types)
         self._leaf_end_bin = [0] * n_pops
         # PoPs in this set stopped producing (missed the watermark

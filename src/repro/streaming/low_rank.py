@@ -238,15 +238,15 @@ class LowRankEigenTracker(_MomentTracker):
     # ------------------------------------------------------------------ #
     # derived quantities
     # ------------------------------------------------------------------ #
-    def eigenbasis(self) -> Tuple[np.ndarray, np.ndarray]:
+    def eigenbasis(self, n_axes: Optional[int] = None
+                   ) -> Tuple[np.ndarray, np.ndarray]:
         """Maintained eigenpairs — **no decomposition runs here**.
 
         Returns covariance-scale eigenvalues of full length ``p`` (the
         tracked top pairs exactly as maintained, then the residual energy
         spread evenly over the ``p − k`` untracked directions so the SPE
-        limit's ``φ₁`` is exact) and the ``p x k`` tracked axes.  Consumers
-        slice the leading columns, exactly as with the ``p x p`` basis of
-        the exact engines.
+        limit's ``φ₁`` is exact) and the tracked axes: the first *n_axes*
+        of them when given (fewer if fewer are tracked), else all ``k``.
         """
         require(self._basis is not None, "no data ingested yet")
         if self._basis_version != self._version:
@@ -264,7 +264,7 @@ class LowRankEigenTracker(_MomentTracker):
             self._cached_eigenvalues = values
             self._cached_axes = axes
             self._basis_version = self._version
-        return self._cached_eigenvalues, self._cached_axes
+        return self._cached_eigenvalues, self._cached_axes[:, :n_axes]
 
     def covariance(self) -> np.ndarray:
         """The isotropic-completion covariance surrogate (diagnostics only).

@@ -57,6 +57,9 @@ class HealthSnapshot:
     quarantined_leaves: int = 0
     coverage: float = 1.0
     bad_chunks: int = 0
+    # Recalibrations whose top-k eigenbasis ran the full eigh because the
+    # filtered route missed its tolerance (0 on a healthy run).
+    eigen_fallbacks: int = 0
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -116,6 +119,9 @@ class HealthSnapshot:
             quarantined_leaves=int(registry.value("quarantined_leaves")),
             coverage=float(coverage),
             bad_chunks=int(registry.value("bad_chunks")),
+            eigen_fallbacks=sum(
+                int(metric.value)
+                for metric in registry.labeled("eigen_fallbacks").values()),
         )
 
     def registry(self) -> MetricsRegistry:
@@ -209,7 +215,8 @@ def render_status_table(snapshot: HealthSnapshot) -> str:
         f"  ({snapshot.bins_per_second:.1f} bins/sec)",
         f"events emitted     {snapshot.events_total}",
         f"recalibrations     {snapshot.recalibrations}"
-        f"  ({snapshot.recalibration_seconds:.3f}s total)",
+        f"  ({snapshot.recalibration_seconds:.3f}s total,"
+        f" {snapshot.eigen_fallbacks} eigh fallbacks)",
     ]
     faults = (snapshot.checkpoint_fallbacks
               or snapshot.checkpoints_quarantined
