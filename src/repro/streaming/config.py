@@ -64,8 +64,8 @@ class StreamingConfig:
         Moment-engine family.  ``"exact"`` (the default) maintains the full
         ``p x p`` scatter and recalibrates through an ``O(p³)``
         ``eigvalsh`` plus a filtered top-``n_normal`` block
-        (:func:`~repro.streaming.online_pca.top_eigenbasis`; a full
-        ``eigh`` for small ``p``); ``"lowrank"`` maintains only the top
+        (:func:`~repro.streaming.online_pca.top_eigenbasis`);
+        ``"lowrank"`` maintains only the top
         ``n_normal + rank_slack`` eigenpairs via a
         :class:`~repro.streaming.low_rank.LowRankEigenTracker`, dropping
         the recalibration path to ``O(m·p·r + r³)`` per chunk.

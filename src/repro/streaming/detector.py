@@ -349,9 +349,9 @@ class StreamingSubspaceDetector:
         config = self._config
         engine = self._engine
         # For the exact engines this is the (cached) eigvalsh spectrum plus
-        # the top-k axes of the maintained covariance (a full eigh for
-        # small p); a LowRankEigenTracker hands back its incrementally
-        # maintained basis directly — nothing is decomposed.
+        # the top-k axes of the maintained covariance; a LowRankEigenTracker
+        # hands back its incrementally maintained basis directly — nothing
+        # is decomposed.
         eigenvalues, axes = engine.eigenbasis(config.n_normal)
         require(axes.shape[1] >= config.n_normal,
                 f"engine tracks only {axes.shape[1]} axes but the normal "

@@ -20,10 +20,10 @@ with running first and second moments updated chunk by chunk:
   Chebyshev-filtered subspace iteration (Zhou & Saad, J. Comput. Phys.
   2007) over a block of ``2k`` vectors: a handful of ``p x p`` by
   ``p x 2k`` products instead of all ``p`` eigenvectors of a full
-  ``eigh``.  Small matrices (``p`` ≤ :data:`EIGH_MAX_FEATURES`), spectra
-  the filter cannot separate, and requests for every axis keep the full
-  ``eigh``; so does a block that misses its residual tolerance within
-  the round cap (counted in :attr:`~_MomentTracker.eigen_fallbacks`).
+  ``eigh``.  Spectra the filter cannot separate and requests for every
+  axis keep the full ``eigh``; so does a block that misses its residual
+  tolerance within the round cap or converges onto the wrong eigenvalues
+  (counted in :attr:`~_MomentTracker.eigen_fallbacks`).
 
 Cost per ingested chunk of ``m`` bins is ``O(m p²)`` (one rank-``m`` scatter
 update) with ``O(p²)`` memory, independent of the stream length ``n``.
@@ -51,16 +51,9 @@ import numpy as np
 
 from repro.utils.validation import ensure_2d, require
 
-__all__ = ["EIGH_MAX_FEATURES", "OnlinePCA", "eigh_descending",
-           "merge_online_pca", "top_eigenbasis"]
+__all__ = ["OnlinePCA", "eigh_descending", "merge_online_pca",
+           "top_eigenbasis"]
 
-#: Largest ``p`` whose top-``k`` requests still run the full ``eigh``.
-#: Sized by measurement on a 2-vCPU box at two BLAS threads, on the
-#: calibration covariances of perfbench-style streams: the ``eigvalsh`` +
-#: filtered-block route takes 1.40x the time of ``eigh`` at p=64, 1.01x at
-#: p=100, 0.94-1.01x at p=121 (a tie, ~1.5 ms), 0.88x at p=144, 0.80x at
-#: p=169, 0.74x at p=256 and ~0.65x at p=1024 (~115 vs ~165 ms).
-EIGH_MAX_FEATURES = 128
 #: Chebyshev filter degree between two QR re-orthonormalizations of the
 #: block.
 _FILTER_DEGREE = 4
@@ -68,7 +61,8 @@ _FILTER_DEGREE = 4
 #: falls back to the full ``eigh``; converged blocks take 3-10.
 _MAX_FILTER_ROUNDS = 40
 #: A returned axis ``v`` with Ritz value ``θ`` satisfies
-#: ``‖Cv − θv‖ ≤ _RESIDUAL_TOLERANCE · λ₁``.
+#: ``‖Cv − θv‖ ≤ _RESIDUAL_TOLERANCE · λ₁``, and ``θ`` lies within the same
+#: bound of the matching ``eigvalsh`` eigenvalue.
 _RESIDUAL_TOLERANCE = 1e-12
 #: Filter interval widths ``λ_{b+1} − λ_min`` at or below this fraction of
 #: ``λ₁`` count as collapsed (rank ≤ b, an isotropic tail or an all-zero
@@ -107,9 +101,9 @@ def _start_block(n_features: int, block_size: int) -> np.ndarray:
     return block
 
 
-def _filtered_top_axes(shifted: np.ndarray, half_width: float,
-                       n_axes: int, top_value: float) -> Optional[np.ndarray]:
-    """Top ``n_axes`` axes by Chebyshev-filtered subspace iteration.
+def _filtered_top_axes(shifted: np.ndarray, targets: np.ndarray,
+                       limit: float) -> Optional[np.ndarray]:
+    """Top ``len(targets)`` axes by Chebyshev-filtered subspace iteration.
 
     *shifted* is ``(C − center·I) / half_width``, which maps the damped
     interval ``[λ_min, λ_{b+1}]`` onto ``[−1, 1]``; each round applies
@@ -118,10 +112,15 @@ def _filtered_top_axes(shifted: np.ndarray, half_width: float,
     re-orthonormalizes by QR and rotates the block onto its Ritz vectors.
     The Ritz vectors seed the next round, so each column stays near one
     eigenvector and the QR loses no precision to the dominant axis.
-    Returns ``None`` when the residual tolerance is not met within
+    *targets* are the top eigenvalues from ``eigvalsh`` and *limit* the
+    tolerance, both in the shifted scale.  A small residual only shows
+    that each axis is *some* eigenvector, so the block is accepted only if
+    its Ritz values also match *targets* — a block that lost a top
+    direction converges onto lower eigenvalues instead.  Returns ``None``
+    on such a mismatch or when the residuals miss *limit* within
     :data:`_MAX_FILTER_ROUNDS` rounds.
     """
-    limit = _RESIDUAL_TOLERANCE * top_value / half_width
+    n_axes = targets.size
     block = _start_block(shifted.shape[0], 2 * n_axes)
     for _ in range(_MAX_FILTER_ROUNDS):
         previous, current = block, shifted @ block
@@ -135,10 +134,13 @@ def _filtered_top_axes(shifted: np.ndarray, half_width: float,
         ritz_values, rotation = np.linalg.eigh(basis.T @ image)
         rotation = rotation[:, ::-1]
         block = basis @ rotation
+        top_ritz = ritz_values[:-n_axes - 1:-1]
         # Residuals in the shifted scale: ‖Av − θ'v‖ = ‖Cv − θv‖ / h.
         residual = image @ rotation[:, :n_axes]
-        residual -= block[:, :n_axes] * ritz_values[:-n_axes - 1:-1]
+        residual -= block[:, :n_axes] * top_ritz
         if np.einsum("ij,ij->j", residual, residual).max() <= limit * limit:
+            if np.abs(top_ritz - targets).max() > limit:
+                return None
             return np.ascontiguousarray(block[:, :n_axes])
     return None
 
@@ -149,29 +151,29 @@ def top_eigenbasis(covariance: np.ndarray, n_axes: int
 
     Returns ``(eigenvalues, axes, fell_back)``: every eigenvalue,
     descending and clipped at zero, and the ``p x n_axes`` leading axes,
-    both read-only (``axes`` an owned, contiguous array).  Above
-    :data:`EIGH_MAX_FEATURES` the spectrum comes from ``eigvalsh`` and the
-    axes from :func:`_filtered_top_axes`, with the filter interval
-    ``[λ_min, λ_{b+1}]`` (``b = 2·n_axes``) read off that spectrum.  The
-    full :func:`eigh_descending` runs instead for small ``p``, when
+    both read-only (``axes`` an owned, contiguous array).  The spectrum
+    comes from ``eigvalsh`` and the axes from :func:`_filtered_top_axes`,
+    with the filter interval ``[λ_min, λ_{b+1}]`` (``b = 2·n_axes``) read
+    off that spectrum.  The full :func:`eigh_descending` runs instead when
     ``b ≥ p`` or the interval has collapsed, and — with ``fell_back`` set
-    — when the filtered block misses its tolerance.
+    — when the filtered block is not accepted.
     """
     p = covariance.shape[0]
     block_size = 2 * n_axes
     fell_back = False
-    if p > EIGH_MAX_FEATURES and block_size < p:
+    if block_size < p:
         symmetric = covariance + covariance.T
         symmetric *= 0.5
         spectrum = np.linalg.eigvalsh(symmetric)[::-1]
         upper, lower = spectrum[block_size], spectrum[-1]
         if upper - lower > _COLLAPSED_INTERVAL * spectrum[0]:
-            half_width = 0.5 * (upper - lower)
+            center, half_width = 0.5 * (upper + lower), 0.5 * (upper - lower)
             shifted = symmetric
-            shifted.flat[::p + 1] -= 0.5 * (upper + lower)
+            shifted.flat[::p + 1] -= center
             shifted /= half_width
-            axes = _filtered_top_axes(shifted, half_width, n_axes,
-                                      spectrum[0])
+            axes = _filtered_top_axes(
+                shifted, (spectrum[:n_axes] - center) / half_width,
+                _RESIDUAL_TOLERANCE * spectrum[0] / half_width)
             if axes is not None:
                 eigenvalues = np.clip(spectrum, 0.0, None)
                 eigenvalues.setflags(write=False)

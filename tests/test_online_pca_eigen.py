@@ -26,21 +26,24 @@ from repro.streaming import (
     eigh_descending,
 )
 from repro.streaming import online_pca
-from repro.streaming.online_pca import EIGH_MAX_FEATURES, top_eigenbasis
+from repro.streaming.online_pca import top_eigenbasis
 from repro.telemetry import HealthSnapshot
 from repro.topology import random_backbone
 
 K = 4
-#: Above the crossover, so the filtered route (not eigh) is under test.
 P = 200
-assert P > EIGH_MAX_FEATURES
+
+
+def _basis(size, seed):
+    """A seeded random ``size x size`` orthogonal matrix."""
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.standard_normal((size, size)))[0]
 
 
 def _covariance(values, seed):
-    """``Q diag(values) Qᵀ`` for a seeded random orthogonal ``Q``."""
+    """``Q diag(values) Qᵀ`` for ``Q = _basis(len(values), seed)``."""
     values = np.asarray(values, dtype=float)
-    rng = np.random.default_rng(seed)
-    basis = np.linalg.qr(rng.standard_normal((values.size, values.size)))[0]
+    basis = _basis(values.size, seed)
     return (basis * values) @ basis.T
 
 
@@ -124,11 +127,6 @@ class TestAgreesWithEigh:
 class TestEighPaths:
     """Where the filter interval collapses, the route itself runs eigh."""
 
-    @pytest.fixture(autouse=True)
-    def no_crossover(self, monkeypatch):
-        # Drop the size crossover so only the collapse checks decide.
-        monkeypatch.setattr(online_pca, "EIGH_MAX_FEATURES", 0)
-
     def _assert_is_eigh(self, covariance, n_axes=K):
         values, axes, fell_back = top_eigenbasis(covariance, n_axes)
         ref_values, ref_axes = eigh_descending(covariance)
@@ -187,8 +185,24 @@ class TestEngineEigenbasis:
         assert fresh.eigen_fallbacks == 1
 
 
+def test_block_missing_a_top_axis_falls_back(monkeypatch):
+    # A start block spanning exactly eigenvectors 2..b+1 converges at once
+    # onto eigenpairs — small residuals — but not the top ones: the Ritz
+    # values must be checked against the spectrum, not only the residuals.
+    values = np.concatenate([[10.0, 9.99, 9.98, 9.97], _tail(P - 4, 2.0)])
+    basis = _basis(P, 9)
+    covariance = (basis * values) @ basis.T
+    monkeypatch.setattr(online_pca, "_start_block",
+                        lambda p, b: basis[:, 1:b + 1].copy())
+    values, axes, fell_back = top_eigenbasis(covariance, K)
+    ref_values, ref_axes = eigh_descending(covariance)
+    assert fell_back
+    np.testing.assert_array_equal(values, ref_values)
+    np.testing.assert_array_equal(axes, ref_axes[:, :K])
+
+
 # --------------------------------------------------------------------- #
-# detector integration above the crossover
+# detector integration on a wider backbone
 # --------------------------------------------------------------------- #
 CHUNK = 32
 
@@ -199,7 +213,7 @@ def wide_series():
     network = random_backbone(14, seed=3)
     dataset = generate_abilene_dataset(DatasetConfig(weeks=1.0 / 7.0),
                                        seed=21, network=network)
-    assert dataset.series.n_od_pairs > EIGH_MAX_FEATURES
+    assert dataset.series.n_od_pairs == 196
     return dataset.series
 
 
@@ -249,8 +263,7 @@ def test_restored_detector_recalibrates_bitwise(wide_series, wide_config,
         assert restored.detector(traffic_type).engine.eigen_fallbacks == 0
 
 
-def test_service_restart_parity_above_crossover(wide_series, wide_config,
-                                                tmp_path):
+def test_service_restart_parity(wide_series, wide_config, tmp_path):
     chunks = list(chunk_series(wide_series, CHUNK))
 
     def service(name):
