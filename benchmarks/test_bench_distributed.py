@@ -11,7 +11,10 @@ list and report exactly — asserted on every run.  Throughputs are
 recorded, not gated: each arm is timed :data:`N_RUNS` times, alternating
 with the other so both see the same box load, and the record carries the
 median and the quartiles of each arm's bins/sec (a single sub-second run
-spreads by ±25% on a shared 2-vCPU box).  Every run writes
+spreads by ±25% on a shared 2-vCPU box).  Those medians still drift
+between processes with the box's load, so the record also carries the
+median and quartiles of the per-pair ratio hierarchy ÷ baseline
+(``hierarchy_over_baseline``), in which that drift cancels.  Every run writes
 ``benchmarks/artifacts/bench_distributed.json`` for the perf trajectory.
 """
 
@@ -41,12 +44,16 @@ N_POPS = 2
 N_RUNS = 7
 
 
+def _summary(values, digits=1):
+    """Median and quartiles of a list of numbers."""
+    lower, median, upper = statistics.quantiles(sorted(values), n=4)
+    return {"median": round(median, digits),
+            "quartiles": [round(lower, digits), round(upper, digits)]}
+
+
 def _rate_summary(n_bins, seconds):
     """Median and quartiles of the bins/sec of a list of run times."""
-    rates = sorted(n_bins / elapsed for elapsed in seconds)
-    lower, median, upper = statistics.quantiles(rates, n=4)
-    return {"median": round(median, 1),
-            "quartiles": [round(lower, 1), round(upper, 1)]}
+    return _summary([n_bins / elapsed for elapsed in seconds])
 
 
 def test_hierarchy_matches_single_process(benchmark, week_dataset):
@@ -77,6 +84,9 @@ def test_hierarchy_matches_single_process(benchmark, week_dataset):
     cores = os.cpu_count() or 1
     single = _rate_summary(bins, single_times)
     hierarchical = _rate_summary(bins, hier_times)
+    # Hierarchy rate over baseline rate within each alternating pair.
+    ratio = _summary([single / hier
+                      for single, hier in zip(single_times, hier_times)], 3)
     record = {
         "benchmark": "bench_distributed",
         "n_bins": bins,
@@ -90,6 +100,8 @@ def test_hierarchy_matches_single_process(benchmark, week_dataset):
         "baseline_bins_per_sec_quartiles": single["quartiles"],
         "hierarchical_bins_per_sec": hierarchical["median"],
         "hierarchical_bins_per_sec_quartiles": hierarchical["quartiles"],
+        "hierarchy_over_baseline": ratio["median"],
+        "hierarchy_over_baseline_quartiles": ratio["quartiles"],
         "n_events": baseline.n_events,
         # Mismatching events are embedded in full (EventParityReport.to_dict)
         # so a failed parity check is diagnosable from the artifact alone.
@@ -106,7 +118,9 @@ def test_hierarchy_matches_single_process(benchmark, week_dataset):
           f"single {single['median']:,.0f} bins/sec "
           f"(IQR {single['quartiles']}), {N_POPS}-PoP hierarchy "
           f"{hierarchical['median']:,.0f} bins/sec "
-          f"(IQR {hierarchical['quartiles']}); BENCH artifact: {artifact}")
+          f"(IQR {hierarchical['quartiles']}); per-pair ratio "
+          f"{ratio['median']:.3f} (IQR {ratio['quartiles']}); "
+          f"BENCH artifact: {artifact}")
 
     assert parity.exact, parity.to_dict()
     full = report_parity(baseline, by_hier)

@@ -28,6 +28,20 @@ with running first and second moments updated chunk by chunk:
 Cost per ingested chunk of ``m`` bins is ``O(m p²)`` (one rank-``m`` scatter
 update) with ``O(p²)`` memory, independent of the stream length ``n``.
 
+**Snapshot mode.**  A covariance built from ``n < p`` bins has rank below
+``n``, so its spectrum and top axes live in the ``n x n`` Gram matrix of the
+centered, weighted bins (the method of snapshots, Sirovich 1987).  While an
+:class:`OnlinePCA` has seen fewer bins than it has OD flows it therefore
+keeps the raw chunks instead of the scatter (``O(m p)`` per chunk, ``O(n p)``
+state) and recalibrates from the Gram matrix (``O(n² p + n³)``): the Gram
+eigenvalues, padded with zeros to length ``p``, are the spectrum, and the
+top axes are the Gram eigenvectors mapped back through the centered rows
+(:func:`snapshot_eigenbasis`).  The chunk that brings the count to ``p`` or
+more replays the held chunks into the scatter exactly as ``partial_fit``
+would have folded them, so from then on the engine is bit for bit the
+scatter engine it would have been.  Only the bin count against ``p`` picks
+the mode.
+
 The weighting/decay bookkeeping lives once in the :class:`_MomentTracker`
 base shared with the low-rank tracker
 (:class:`~repro.streaming.low_rank.LowRankEigenTracker`); only the scatter
@@ -45,14 +59,14 @@ properties are enforced by ``tests/test_streaming_properties.py``.
 from __future__ import annotations
 
 import functools
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.utils.validation import ensure_2d, require
 
 __all__ = ["OnlinePCA", "eigh_descending", "merge_online_pca",
-           "top_eigenbasis"]
+           "snapshot_eigenbasis", "top_eigenbasis"]
 
 #: Chebyshev filter degree between two QR re-orthonormalizations of the
 #: block.
@@ -183,6 +197,31 @@ def top_eigenbasis(covariance: np.ndarray, n_axes: int
     eigenvalues, all_axes = eigh_descending(covariance)
     axes = np.ascontiguousarray(all_axes[:, :n_axes])
     axes.setflags(write=False)
+    return eigenvalues, axes, fell_back
+
+
+def snapshot_eigenbasis(rows: np.ndarray, n_axes: int
+                        ) -> Optional[Tuple[np.ndarray, np.ndarray, bool]]:
+    """:func:`top_eigenbasis` of ``C = rowsᵀ rows`` through its Gram matrix.
+
+    *rows* is ``n x p`` with ``n < p``: the centered bins, each scaled by
+    ``√(w / (Σw − 1))``.  ``C`` and the ``n x n`` Gram matrix ``rows rowsᵀ``
+    share their nonzero eigenvalues, and a Gram eigenvector ``u`` maps to
+    the covariance axis ``rowsᵀ u / ‖rowsᵀ u‖``.  Returns the same
+    ``(eigenvalues, axes, fell_back)`` triple — the Gram spectrum padded
+    with zeros to length ``p`` — or ``None`` when a top-*n_axes* Gram
+    eigenvalue is numerically zero, where that map is undefined.
+    """
+    n, p = rows.shape
+    values, gram_axes, fell_back = top_eigenbasis(rows @ rows.T, n_axes)
+    if values[n_axes - 1] <= _COLLAPSED_INTERVAL * values[0]:
+        return None
+    axes = rows.T @ gram_axes
+    axes /= np.linalg.norm(axes, axis=0)
+    axes.setflags(write=False)
+    eigenvalues = np.zeros(p)
+    eigenvalues[:n] = values
+    eigenvalues.setflags(write=False)
     return eigenvalues, axes, fell_back
 
 
@@ -418,14 +457,17 @@ class _MomentTracker:
             if n_axes is None:
                 eigenvalues, axes = eigh_descending(self.covariance())
             else:
-                eigenvalues, axes, fell_back = top_eigenbasis(
-                    self.covariance(), n_axes)
+                eigenvalues, axes, fell_back = self._top_eigenbasis(n_axes)
                 self._eigen_fallbacks += int(fell_back)
             self._cached_eigenvalues = eigenvalues
             self._cached_axes = axes
             self._basis_version = self._version
             self._basis_axes_requested = n_axes
         return self._cached_eigenvalues, self._cached_axes
+
+    def _top_eigenbasis(self, n_axes: int
+                        ) -> Tuple[np.ndarray, np.ndarray, bool]:
+        return top_eigenbasis(self.covariance(), n_axes)
 
     # ------------------------------------------------------------------ #
     # serialization (checkpoint/restore)
@@ -449,6 +491,11 @@ class _MomentTracker:
 class OnlinePCA(_MomentTracker):
     """Running mean/covariance PCA with exponential forgetting.
 
+    While fewer than ``p`` bins have been ingested the engine holds the
+    bins themselves and recalibrates through their Gram matrix (snapshot
+    mode, :attr:`holds_bins`); from the chunk that reaches ``p`` bins on it
+    maintains the ``p x p`` scatter.  Both give the same moments.
+
     Parameters
     ----------
     forgetting:
@@ -464,17 +511,64 @@ class OnlinePCA(_MomentTracker):
     def __init__(self, forgetting: float = 1.0) -> None:
         super().__init__(forgetting)
         self._scatter: Optional[np.ndarray] = None
+        # Snapshot mode (no scatter yet): copies of the ingested chunks in
+        # stream order, kept while they hold fewer than p bins.
+        self._chunks: List[np.ndarray] = []
+
+    @property
+    def holds_bins(self) -> bool:
+        """Whether the engine keeps its (fewer than ``p``) bins instead of
+        the scatter."""
+        return self._n_features is not None and self._scatter is None
 
     # ------------------------------------------------------------------ #
-    # scatter storage
+    # updates
     # ------------------------------------------------------------------ #
-    def _initialize_scatter(self, n_features: int) -> None:
+    def partial_fit(self, chunk: np.ndarray):
+        """Merge a chunk of ``m`` consecutive timebins into the moments.
+
+        See :meth:`_MomentTracker.partial_fit`.  A chunk that leaves the
+        engine with fewer than ``p`` bins is kept (``O(m p)``: the mean and
+        weights update, the scatter does not exist yet); the first chunk
+        that reaches ``p`` bins replays the kept chunks into the scatter.
+        """
+        matrix = ensure_2d(chunk, "chunk")
+        m, p = matrix.shape
+        if self._scatter is None and p == (self._n_features or p):
+            if self._n_bins_seen + m < p:
+                super().partial_fit(matrix)
+                self._chunks.append(matrix.copy())
+                return self
+            self._build_scatter(p)
+        return super().partial_fit(matrix)
+
+    def _build_scatter(self, n_features: int) -> None:
+        """Leave snapshot mode: fold the kept chunks into a new scatter.
+
+        The moments are rebuilt from zero by the scatter path's own
+        per-chunk update, so the result is bitwise the state an engine that
+        never held its bins would have reached.
+        """
+        chunks, self._chunks = self._chunks, []
         self._scatter = np.zeros((n_features, n_features))
+        if not chunks:
+            return
+        self._mean = np.zeros(n_features)
+        self._weight_sum = self._weight_sq_sum = 0.0
+        self._n_bins_seen = 0
+        for chunk in chunks:
+            _MomentTracker.partial_fit(self, chunk)
+
+    def _initialize_scatter(self, n_features: int) -> None:
+        # The scatter is created by _build_scatter once p bins arrive.
+        pass
 
     def _apply_scatter_update(self, centered: np.ndarray,
                               weights: Optional[np.ndarray],
                               delta: np.ndarray, decay: float,
                               outer_coefficient: float) -> None:
+        if self._scatter is None:
+            return  # snapshot mode: partial_fit keeps the chunk itself
         if weights is None:
             chunk_scatter = centered.T @ centered
         else:
@@ -483,26 +577,61 @@ class OnlinePCA(_MomentTracker):
 
     def _merge_scatter(self, chunk_scatter: np.ndarray, delta: np.ndarray,
                        decay: float, outer_coefficient: float) -> None:
-        """Fold an already-computed chunk/segment scatter into the state."""
-        self._scatter = (
-            self._scatter * decay
-            + chunk_scatter
-            + np.outer(delta, delta) * outer_coefficient
-        )
+        """Fold an already-computed chunk/segment scatter into the state.
+
+        Computes ``scatter * decay + chunk_scatter + outer(delta, delta) *
+        outer_coefficient`` in place, in that order (so bitwise that
+        expression; multiplying by a decay of 1 is skipped as the no-op it
+        is).  *chunk_scatter* is consumed: the outer product reuses it.
+        """
+        scatter = self._scatter
+        if decay != 1.0:
+            scatter *= decay
+        scatter += chunk_scatter
+        outer = np.outer(delta, delta, out=chunk_scatter)
+        outer *= outer_coefficient
+        scatter += outer
 
     # ------------------------------------------------------------------ #
     # derived quantities
     # ------------------------------------------------------------------ #
+    def _scaled_rows(self) -> np.ndarray:
+        """The kept bins, centered and scaled by ``√(w / (Σw − 1))``, so
+        that the covariance is ``rowsᵀ rows`` (snapshot mode only)."""
+        require(self._weight_sum > 1.0,
+                "need total weight > 1 for a sample covariance")
+        rows = np.concatenate(self._chunks)
+        rows -= self._mean
+        scale = 1.0 / np.sqrt(self._weight_sum - 1.0)
+        if self._forgetting == 1.0:
+            rows *= scale
+        else:
+            ages = np.arange(rows.shape[0] - 1, -1, -1, dtype=float)
+            rows *= (np.sqrt(self._forgetting ** ages) * scale)[:, np.newaxis]
+        return rows
+
     def covariance(self) -> np.ndarray:
         """The maintained sample covariance ``M / (Σw - 1)``.
 
         With ``λ = 1`` this equals ``np.cov(history, rowvar=False)`` (ddof 1)
-        of everything ingested so far.
+        of everything ingested so far.  In snapshot mode it is built from
+        the kept bins (``O(n p²)``).
         """
-        require(self._scatter is not None, "no data ingested yet")
+        require(self._n_features is not None, "no data ingested yet")
+        if self._scatter is None:
+            rows = self._scaled_rows()
+            return rows.T @ rows
         require(self._weight_sum > 1.0,
                 "need total weight > 1 for a sample covariance")
         return self._scatter / (self._weight_sum - 1.0)
+
+    def _top_eigenbasis(self, n_axes: int
+                        ) -> Tuple[np.ndarray, np.ndarray, bool]:
+        if self.holds_bins and n_axes < self._n_bins_seen:
+            result = snapshot_eigenbasis(self._scaled_rows(), n_axes)
+            if result is not None:
+                return result
+        return super()._top_eigenbasis(n_axes)
 
     # ------------------------------------------------------------------ #
     # serialization (checkpoint/restore)
@@ -513,29 +642,53 @@ class OnlinePCA(_MomentTracker):
         The returned arrays are copies; restoring them via :meth:`from_state`
         reproduces the engine bit-for-bit (float64 survives an npz round
         trip exactly), so a restored detector continues the stream on the
-        identical numerical trajectory.
+        identical numerical trajectory.  In snapshot mode the arrays hold
+        the kept bins (``rows``) and each chunk's length (``chunk_bins``)
+        instead of the scatter.
         """
         arrays: Dict[str, np.ndarray] = {}
         if self._n_features is not None:
             arrays["mean"] = np.array(self._mean, dtype=float)
-            arrays["scatter"] = np.array(self._scatter, dtype=float)
+            if self._scatter is None:
+                arrays["rows"] = np.concatenate(self._chunks)
+                arrays["chunk_bins"] = np.array(
+                    [chunk.shape[0] for chunk in self._chunks], dtype=np.int64)
+            else:
+                arrays["scatter"] = np.array(self._scatter, dtype=float)
         return {"meta": self._scalar_state(self.STATE_KIND), "arrays": arrays}
 
     @classmethod
     def from_state(cls, meta: Mapping, arrays: Mapping[str, np.ndarray]) -> "OnlinePCA":
-        """Rebuild an engine from :meth:`state_dict` output."""
+        """Rebuild an engine from :meth:`state_dict` output (either mode)."""
         require(meta.get("kind") == cls.STATE_KIND,
                 f"state is not an {cls.STATE_KIND} state")
         engine = cls(forgetting=float(meta["forgetting"]))
+        engine._restore_scalars(meta)
         if meta["has_data"]:
             mean = np.array(arrays["mean"], dtype=float)
-            scatter = np.array(arrays["scatter"], dtype=float)
-            require(scatter.shape == (mean.size, mean.size),
-                    "scatter shape does not match the mean length")
-            engine._n_features = mean.size
+            p = mean.size
+            if "scatter" in arrays:
+                scatter = np.array(arrays["scatter"], dtype=float)
+                require(scatter.shape == (p, p),
+                        "scatter shape does not match the mean length")
+                engine._scatter = scatter
+            else:
+                require("rows" in arrays and "chunk_bins" in arrays,
+                        "state holds neither a scatter nor kept bins")
+                rows = np.asarray(arrays["rows"], dtype=float)
+                bounds = np.cumsum(np.asarray(arrays["chunk_bins"],
+                                              dtype=np.int64))
+                require(rows.ndim == 2 and rows.shape[1] == p
+                        and bounds.size >= 1
+                        and np.all(np.diff(bounds, prepend=0) >= 1)
+                        and bounds[-1] == rows.shape[0]
+                        == engine._n_bins_seen < p,
+                        "kept bins do not match the mean length and bin "
+                        "count")
+                engine._chunks = [chunk.copy()
+                                  for chunk in np.split(rows, bounds[:-1])]
+            engine._n_features = p
             engine._mean = mean
-            engine._scatter = scatter
-        engine._restore_scalars(meta)
         return engine
 
 
@@ -548,7 +701,12 @@ def merge_online_pca(earlier: OnlinePCA, later: OnlinePCA) -> OnlinePCA:
     the operation is associative and commutative (segment order is
     irrelevant); with ``λ < 1`` it stays associative but weights *earlier*
     down by ``λ^m`` for the ``m`` bins *later* ingested, so order matters —
-    exactly as if the segments had been streamed through one engine.
+    exactly as if the segments had been streamed through one engine.  While
+    both engines hold their bins and together fewer than ``p``, the merged
+    engine holds *earlier*'s bins followed by *later*'s; otherwise each
+    side's scatter is combined, and an input that still holds its bins is
+    switched to its scatter in place first (its moments are unchanged), so
+    repeated merges of the same engines convert each of them only once.
 
     A pair of :class:`~repro.streaming.low_rank.LowRankEigenTracker`
     engines is dispatched to :func:`~repro.streaming.low_rank.merge_low_rank`
@@ -574,19 +732,29 @@ def merge_online_pca(earlier: OnlinePCA, later: OnlinePCA) -> OnlinePCA:
     require(earlier.n_features == later.n_features,
             "engines must share the same number of OD flows")
 
+    p = earlier.n_features
+    keep_bins = (earlier.holds_bins and later.holds_bins
+                 and earlier.n_bins_seen + later.n_bins_seen < p)
+    if not keep_bins:
+        for engine in (earlier, later):
+            if engine.holds_bins:
+                engine._build_scatter(p)
     merged = OnlinePCA.from_state(**earlier.state_dict())
-    second = later.state_dict()
+    second = OnlinePCA.from_state(**later.state_dict())
     decay = earlier.forgetting ** later.n_bins_seen
     # The shared Chan combine of _MomentTracker, fed a whole moment tuple
     # (the later segment) instead of a raw chunk.
     merged._merge_weighted_chunk(
-        chunk_weight=second["meta"]["weight_sum"],
-        chunk_weight_sq=second["meta"]["weight_sq_sum"],
-        chunk_mean=second["arrays"]["mean"],
+        chunk_weight=second.weight_sum,
+        chunk_weight_sq=second.weight_sq_sum,
+        chunk_mean=second._mean,
         decay=decay,
         decay_sq=decay**2,
-        n_bins=later.n_bins_seen,
-        scatter_update=lambda delta, coefficient: merged._merge_scatter(
-            second["arrays"]["scatter"], delta, decay, coefficient),
+        n_bins=second.n_bins_seen,
+        scatter_update=lambda delta, coefficient: (
+            None if keep_bins else merged._merge_scatter(
+                second._scatter, delta, decay, coefficient)),
     )
+    if keep_bins:
+        merged._chunks.extend(second._chunks)
     return merged

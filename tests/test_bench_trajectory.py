@@ -128,6 +128,23 @@ class TestCheck:
         assert "span_recall" in failures[0]
         assert "not checked" in capsys.readouterr().out
 
+    def test_ratio_named_ungated_is_recorded_not_gated(self, artifact_dir,
+                                                       tmp_path):
+        record = json.loads((artifact_dir / "bench_flat.json").read_text())
+        record["short_speedup"] = 2.0
+        record["gate"]["ungated"] = ["short_speedup"]
+        _write(artifact_dir / "bench_flat.json", record)
+        baseline = self._baseline(artifact_dir, tmp_path)
+        record["short_speedup"] = 0.1
+        record["parallel_speedup_vs_baseline"] = 0.1
+        _write(artifact_dir / "bench_flat.json", record)
+        failures, _, rows = bench_trajectory.compare(baseline, artifact_dir,
+                                                     0.5)
+        assert len(failures) == 1
+        assert "parallel_speedup_vs_baseline" in failures[0]
+        assert [r["status"] for r in rows
+                if r["metric"] == "short_speedup"] == ["not gated (recorded)"]
+
     def test_machine_bound_throughput_is_not_gated(self, artifact_dir,
                                                    tmp_path):
         baseline = self._baseline(artifact_dir, tmp_path)

@@ -23,7 +23,10 @@ metric beyond a tolerance:
   ratios are not — and a record whose own ``gate.enforced`` is false
   (the benchmark itself judged this machine un-baselined, e.g.
   ``BENCH_INGEST_NO_GATE`` on a small CI runner) has its speedup ratios
-  skipped too.  Parity recalls are always gated, but a benchmark that
+  skipped too, and so are the ratios a record names in ``gate.ungated``
+  (numbers its bench records for context but does not gate, e.g. the
+  E11 exact engine below ``p`` bins).  Parity recalls are always gated,
+  but a benchmark that
   documents its own looser floor in the record's gate (e.g.
   ``gate.span_recall_floor``) wins over ``baseline - recall_tolerance``:
   the trajectory is a drift tripwire, the bench owns its tolerance.
@@ -175,10 +178,15 @@ def compare(baseline_path: Path, artifact_dir: Path, tolerance: float,
             print(f"note: {name!r} ran with its speedup gate disabled on "
                   f"this machine; speedup ratios recorded, not checked")
         current_speedups = dict(_speedup_metrics(record))
+        gate = record.get("gate") if isinstance(record.get("gate"), dict) else {}
+        ungated = set(gate.get("ungated", ()))
         for metric, floor_value in _speedup_metrics(reference):
             value = current_speedups.get(metric)
             floor = floor_value * (1.0 - tolerance)
-            if not gate_enforced:
+            if metric in ungated:
+                row(name, metric, "speedup", floor_value, value, None,
+                    "not gated (recorded)")
+            elif not gate_enforced:
                 row(name, metric, "speedup", floor_value, value, None,
                     "not gated (machine)")
             elif value is None:
@@ -195,7 +203,6 @@ def compare(baseline_path: Path, artifact_dir: Path, tolerance: float,
             else:
                 row(name, metric, "speedup", floor_value, value, floor, "ok")
         current_recalls = dict(_recall_metrics(record))
-        gate = record.get("gate") if isinstance(record.get("gate"), dict) else {}
         for metric, baseline_value in _recall_metrics(reference):
             value = current_recalls.get(metric)
             floor = baseline_value - recall_tolerance
