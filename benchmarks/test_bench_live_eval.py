@@ -4,11 +4,11 @@ Two measurements, both about *detection quality* of the production
 streaming path rather than throughput:
 
 * **Live vs batch Table 1/3 analogues** (labeled Abilene week): the
-  single-pass streaming pipeline — both engines: exact and low-rank —
-  replays the labeled week and its Table 1-analogue counts and
-  Table 3-analogue metrics (detection rate, false-alarm rate, per-type
-  recall) are compared against the batch reference over identical windows
-  and matcher.  Gates (machine-independent, never disabled): each engine's
+  single-pass streaming pipeline replays the labeled week and its
+  Table 1-analogue counts and Table 3-analogue metrics (detection rate,
+  false-alarm rate, per-type recall) are compared against the batch
+  reference over identical windows and matcher.  Gates
+  (machine-independent, never disabled): the
   live detection rate within {MAX_DETECTION_DROP} of batch, live
   false-alarm rate at most {MAX_LIVE_FAR}, and live-vs-batch event span
   recall at least {SPAN_RECALL_FLOOR}.
@@ -34,7 +34,6 @@ from conftest import BENCHMARK_SEED, artifact_path, run_once, timed
 from repro.datasets import DatasetConfig, generate_drifting_dataset
 from repro.evaluation import match_events
 from repro.evaluation.live import (
-    LIVE_ENGINES,
     batch_reference,
     compare_batch_live,
     run_live_evaluation,
@@ -46,7 +45,7 @@ from repro.streaming import (
     stream_detect,
 )
 
-#: Warmup / recalibration cadence of the live runs (matches bench_lowrank).
+#: Warmup / recalibration cadence of the live runs.
 WARMUP_BINS = 128
 RECALIBRATE_BINS = 96
 CHUNK_BINS = 32
@@ -54,9 +53,9 @@ CHUNK_BINS = 32
 MAX_DETECTION_DROP = 0.15
 #: Ceiling on the live false-alarm rate on the stationary labeled week.
 MAX_LIVE_FAR = 0.15
-#: Floor on live-vs-batch event span recall (per engine).
+#: Floor on live-vs-batch event span recall.
 SPAN_RECALL_FLOOR = 0.70
-#: Floor on live-vs-batch exact-event recall (per engine).
+#: Floor on live-vs-batch exact-event recall.
 RECALL_FLOOR = 0.55
 #: Adaptive recall may trail fixed-limit recall by at most this much.
 MAX_RECALL_DROP = 0.05
@@ -77,19 +76,15 @@ def _write_section(section, record):
 
 
 def test_live_table_analogues_vs_batch(benchmark, week_dataset):
-    """Both engines reproduce the batch Table 1/3 numbers live."""
+    """The live run reproduces the batch Table 1/3 numbers."""
     batch_time, batch = timed(batch_reference, week_dataset)
     config = _live_config()
 
-    deltas = {}
-    live_times = {}
-    for engine in LIVE_ENGINES:
-        elapsed, live = timed(run_live_evaluation, week_dataset, config,
-                              CHUNK_BINS, engine)
-        live_times[engine] = elapsed
-        deltas[engine] = compare_batch_live(batch, live)
-    run_once(benchmark, run_live_evaluation, week_dataset, config,
-             CHUNK_BINS, "exact")
+    live_time, live = timed(run_live_evaluation, week_dataset, config,
+                            CHUNK_BINS)
+    delta = compare_batch_live(batch, live)
+    parity = delta.parity()
+    run_once(benchmark, run_live_evaluation, week_dataset, config, CHUNK_BINS)
 
     record = {
         "benchmark": "bench_live_eval",
@@ -100,10 +95,10 @@ def test_live_table_analogues_vs_batch(benchmark, week_dataset):
         "warmup_bins": WARMUP_BINS,
         "recalibrate_every_bins": RECALIBRATE_BINS,
         "batch_seconds": round(batch_time, 3),
-        "live_seconds": {k: round(v, 3) for k, v in live_times.items()},
+        "live_seconds": round(live_time, 3),
         "batch": batch.to_dict(),
-        "engines": {name: delta.to_dict() for name, delta in deltas.items()},
-        "parity": {name: delta.parity() for name, delta in deltas.items()},
+        "live": delta.to_dict(),
+        "parity": parity,
         "gate": {
             "max_detection_drop": MAX_DETECTION_DROP,
             "max_live_false_alarm_rate": MAX_LIVE_FAR,
@@ -116,24 +111,20 @@ def test_live_table_analogues_vs_batch(benchmark, week_dataset):
     print(f"\nbatch: {batch.total_events} events, detection "
           f"{batch.metrics.detection_rate:.3f}, far "
           f"{batch.metrics.false_alarm_rate:.3f}")
-    for engine, delta in deltas.items():
-        parity = delta.parity()
-        print(f"{engine}: {delta.live.total_events} events, detection "
-              f"{delta.live.metrics.detection_rate:.3f} "
-              f"({delta.detection_rate_delta:+.3f}), far "
-              f"{delta.live.metrics.false_alarm_rate:.3f}, span recall "
-              f"{parity['span_recall']:.3f}")
+    print(f"live: {live.total_events} events, detection "
+          f"{live.metrics.detection_rate:.3f} "
+          f"({delta.detection_rate_delta:+.3f}), far "
+          f"{live.metrics.false_alarm_rate:.3f}, span recall "
+          f"{parity['span_recall']:.3f}")
     print(f"BENCH artifact: {artifact}")
 
     # Quality gates — machine-independent, never disabled.
-    for engine, delta in deltas.items():
-        parity = delta.parity()
-        assert delta.detection_rate_delta >= -MAX_DETECTION_DROP, (
-            engine, delta.to_dict()["delta"])
-        assert delta.live.metrics.false_alarm_rate <= MAX_LIVE_FAR, (
-            engine, delta.live.metrics.as_dict())
-        assert parity["span_recall"] >= SPAN_RECALL_FLOOR, (engine, parity)
-        assert parity["recall"] >= RECALL_FLOOR, (engine, parity)
+    assert delta.detection_rate_delta >= -MAX_DETECTION_DROP, (
+        delta.to_dict()["delta"])
+    assert live.metrics.false_alarm_rate <= MAX_LIVE_FAR, (
+        live.metrics.as_dict())
+    assert parity["span_recall"] >= SPAN_RECALL_FLOOR, parity
+    assert parity["recall"] >= RECALL_FLOOR, parity
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@
   baseline-comparison, and pipeline experiments from DESIGN.md;
 * :mod:`repro.evaluation.live` — the online evaluation harness: Table 1/3
   analogues computed by replaying labeled weeks through the streaming
-  pipeline (any engine), with structured batch-vs-live delta reports.
+  pipeline, with structured batch-vs-live delta reports.
 """
 
 from repro.evaluation.matching import EventMatch, MatchReport, match_events

@@ -5,15 +5,13 @@ reproduction's detection quality with the paper's own artifacts — Table 1
 (events per traffic-type combination) and Table 3 (per-anomaly-type
 detection breakdown) — but only for the offline, full-window fit.  This
 package replays the same labeled weeks through the **single-pass streaming
-pipeline** (:func:`~repro.streaming.pipeline.stream_detect`, either
-engine: exact or low-rank) and computes the same analogues online:
+pipeline** (:func:`~repro.streaming.pipeline.stream_detect`) and computes
+the same analogues online:
 
-* :func:`~repro.evaluation.live.harness.run_live_evaluation` — one engine,
-  week-by-week live replay, Table 1-analogue label counts plus
+* :func:`~repro.evaluation.live.harness.run_live_evaluation` — week-by-week
+  live replay, Table 1-analogue label counts plus
   Table 3-analogue detection metrics (detection rate, false-alarm rate,
   per-anomaly-type recall) against the injected ground truth;
-* :func:`~repro.evaluation.live.harness.run_live_engine_suite` — the same
-  across both engines, side by side;
 * :func:`~repro.evaluation.live.harness.batch_reference` — the batch
   counterpart, windowed and matched **identically**, so every live number
   has an apples-to-apples batch twin;
@@ -25,25 +23,19 @@ engine: exact or low-rank) and computes the same analogues online:
 
 from repro.evaluation.live.delta import BatchLiveDelta, compare_batch_live
 from repro.evaluation.live.harness import (
-    LIVE_ENGINES,
     BatchReference,
     LiveEvaluationResult,
     LiveWindowResult,
     batch_reference,
-    engine_config,
-    run_live_engine_suite,
     run_live_evaluation,
 )
 
 __all__ = [
-    "LIVE_ENGINES",
     "BatchReference",
     "BatchLiveDelta",
     "LiveEvaluationResult",
     "LiveWindowResult",
     "batch_reference",
     "compare_batch_live",
-    "engine_config",
-    "run_live_engine_suite",
     "run_live_evaluation",
 ]

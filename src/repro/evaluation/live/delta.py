@@ -2,10 +2,10 @@
 
 A live (single-pass streaming) diagnosis differs from the batch reference
 for well-understood reasons — warmup bins are never flagged, the model
-keeps recalibrating instead of fitting once, a low-rank engine truncates
-the spectrum.  :func:`compare_batch_live` quantifies the difference as one
-structured :class:`BatchLiveDelta`: Table 1-analogue count deltas,
-Table 3-analogue metric deltas, and a window-merged event-parity summary.
+keeps recalibrating instead of fitting once.  :func:`compare_batch_live`
+quantifies the difference as one structured :class:`BatchLiveDelta`:
+Table 1-analogue count deltas, Table 3-analogue metric deltas, and a
+window-merged event-parity summary.
 ``to_dict`` is consumed by ``benchmarks/test_bench_live_eval.py`` and the
 ``BENCH_streaming.json`` trajectory, so live-mode quality regressions trip
 CI like any other tracked metric.
@@ -44,9 +44,8 @@ def _merged_parity(per_window: Sequence[EventParityReport]) -> Dict[str, object]
 
 @dataclass
 class BatchLiveDelta:
-    """How one engine's live diagnosis compares to the batch reference."""
+    """How the live diagnosis compares to the batch reference."""
 
-    engine: str
     batch: BatchReference
     live: LiveEvaluationResult
     parity_per_window: List[EventParityReport]
@@ -91,7 +90,6 @@ class BatchLiveDelta:
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable delta report for the bench trajectory."""
         return {
-            "engine": self.engine,
             "chunk_size": self.live.chunk_size,
             "n_warmup_bins": self.live.n_warmup_bins,
             "label_counts": {
@@ -122,7 +120,7 @@ class BatchLiveDelta:
         rows.append(["Total", self.batch.total_events, self.live.total_events,
                      self.n_events_delta])
         table = format_table(
-            ["Traffic", "# Batch", f"# Live ({self.engine})", "Delta"],
+            ["Traffic", "# Batch", "# Live", "Delta"],
             rows,
             title="Table 1 analogue — batch vs live",
         )
@@ -157,7 +155,6 @@ def compare_batch_live(batch: BatchReference,
         for batch_events, window in zip(batch.events_per_window, live.windows)
     ]
     return BatchLiveDelta(
-        engine=live.engine,
         batch=batch,
         live=live,
         parity_per_window=parity_per_window,

@@ -15,13 +15,13 @@ Table 3 runner uses.  The result carries both paper analogues:
 :func:`batch_reference` computes the batch twin over the identical windows
 with the identical matcher, so a live number minus its batch twin is a pure
 measurement of the online approximation (warmup, recalibration cadence,
-forgetting, engine truncation) — see :mod:`repro.evaluation.live.delta`.
+forgetting) — see :mod:`repro.evaluation.live.delta`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.core.events import COMBINATION_LABELS, AnomalyEvent, count_by_label
 from repro.core.pipeline import detect_network_anomalies
@@ -35,27 +35,11 @@ from repro.streaming.sources import chunk_series
 from repro.utils.timebins import week_windows
 from repro.utils.validation import require
 
-__all__ = ["LIVE_ENGINES", "LiveWindowResult", "LiveEvaluationResult",
-           "BatchReference", "engine_config", "run_live_evaluation",
-           "run_live_engine_suite", "batch_reference"]
-
-#: The streaming engines the live harness evaluates side by side.
-LIVE_ENGINES: Tuple[str, ...] = ("exact", "lowrank")
+__all__ = ["LiveWindowResult", "LiveEvaluationResult", "BatchReference",
+           "run_live_evaluation", "batch_reference"]
 
 #: Default chunk size (bins) of the simulated live feed.
 DEFAULT_CHUNK_BINS = 32
-
-
-def engine_config(base: StreamingConfig, engine: str) -> StreamingConfig:
-    """*base* specialized to one of the :data:`LIVE_ENGINES`.
-
-    ``"exact"`` is the full-scatter engine, ``"lowrank"`` tracks only the
-    top eigenpairs — both share every other knob of *base* so the
-    comparison isolates the engine.
-    """
-    require(engine in LIVE_ENGINES,
-            f"engine must be one of {LIVE_ENGINES}, got {engine!r}")
-    return replace(base, engine=engine)
 
 
 @dataclass
@@ -75,9 +59,8 @@ class LiveWindowResult:
 
 @dataclass
 class LiveEvaluationResult:
-    """Online Table 1/3 analogues of one engine over all labeled weeks."""
+    """Online Table 1/3 analogues over all labeled weeks."""
 
-    engine: str
     config: StreamingConfig
     chunk_size: int
     label_counts: Dict[str, int]
@@ -97,7 +80,6 @@ class LiveEvaluationResult:
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable summary (benchmark artifacts, dashboards)."""
         return {
-            "engine": self.engine,
             "chunk_size": self.chunk_size,
             "label_counts": dict(self.label_counts),
             "n_events": self.total_events,
@@ -111,7 +93,7 @@ class LiveEvaluationResult:
                 for label in COMBINATION_LABELS]
         rows.append(["Total", self.total_events])
         table = format_table(
-            ["Traffic", f"# Found (live, {self.engine})"], rows,
+            ["Traffic", "# Found (live)"], rows,
             title="Table 1 analogue — live streaming detection",
         )
         metrics = self.metrics
@@ -167,10 +149,9 @@ def run_live_evaluation(
     config: StreamingConfig = StreamingConfig(min_train_bins=128,
                                               recalibrate_every_bins=96),
     chunk_size: int = DEFAULT_CHUNK_BINS,
-    engine: Optional[str] = None,
     week_by_week: bool = True,
 ) -> LiveEvaluationResult:
-    """Replay *dataset* live through one streaming engine and score it.
+    """Replay *dataset* live through the streaming detector and score it.
 
     Parameters
     ----------
@@ -181,19 +162,11 @@ def run_live_evaluation(
         benchmarks: two-hour warmup, recalibration every 96 bins.
     chunk_size:
         Bins per chunk of the simulated live feed.
-    engine:
-        One of :data:`LIVE_ENGINES`, applied to *config* via
-        :func:`engine_config`; ``None`` uses *config* verbatim (its
-        ``engine`` field then names the engine).
     week_by_week:
         Window the dataset into paper-style weeks (the default), or replay
         it as a single window.
     """
     require(len(dataset.ground_truth) > 0, "dataset has no injected anomalies")
-    if engine is not None:
-        config = engine_config(config, engine)
-    engine_name = engine if engine is not None else config.engine
-
     counts = {label: 0 for label in COMBINATION_LABELS}
     windows: List[LiveWindowResult] = []
     for start, end in _windows_of(dataset, config.n_normal, week_by_week):
@@ -208,30 +181,12 @@ def run_live_evaluation(
     metrics = aggregate_match_metrics([w.match for w in windows],
                                       dataset.ground_truth)
     return LiveEvaluationResult(
-        engine=engine_name,
         config=config,
         chunk_size=chunk_size,
         label_counts=counts,
         metrics=metrics,
         windows=windows,
     )
-
-
-def run_live_engine_suite(
-    dataset: SyntheticDataset,
-    config: StreamingConfig = StreamingConfig(min_train_bins=128,
-                                              recalibrate_every_bins=96),
-    engines: Sequence[str] = LIVE_ENGINES,
-    chunk_size: int = DEFAULT_CHUNK_BINS,
-    week_by_week: bool = True,
-) -> Dict[str, LiveEvaluationResult]:
-    """The live evaluation across several engines, side by side."""
-    require(len(engines) >= 1, "at least one engine must be evaluated")
-    return {
-        engine: run_live_evaluation(dataset, config, chunk_size=chunk_size,
-                                    engine=engine, week_by_week=week_by_week)
-        for engine in engines
-    }
 
 
 def batch_reference(

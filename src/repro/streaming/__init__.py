@@ -26,19 +26,13 @@ detects in one shot; this package turns that into an online system:
    (npz + JSON manifest) so a restarted detector resumes mid-stream with
    the identical remaining event list — the one crash-recovery path,
    driven end to end by :class:`~repro.service.DetectionService`;
-7. :mod:`repro.streaming.low_rank` maintains only the top-``r`` eigenpairs
-   via Brand-style rank-``m`` secular updates (``StreamingConfig(engine=
-   "lowrank")``), killing the ``O(p³)`` eigh on the recalibration hot path
-   — ``O(m·p·r + r³)`` per chunk with ``O(p·r)`` state — with an exact
-   residual-energy trace for the SPE limit and a drift-monitored
-   re-orthogonalization;
-8. :mod:`repro.streaming.adaptive_limits` tracks EWMA-smoothed empirical
+7. :mod:`repro.streaming.adaptive_limits` tracks EWMA-smoothed empirical
    quantiles of the streaming SPE/T² statistics
    (``StreamingConfig(limits="adaptive")``) — warm-up period, clamped
    drift rate, freeze-on-alarm — so non-stationary weeks are thresholded
    against the recent clean-statistic tail instead of the lagging
    parametric limits;
-9. :mod:`repro.streaming.hierarchy` is the network detector with per-PoP
+8. :mod:`repro.streaming.hierarchy` is the network detector with per-PoP
    ingestion: each PoP folds its own chunks into its own moments, and the
    detector reads the exact Chan merge of them
    (:func:`~repro.streaming.online_pca.merge_online_pca`) instead of
@@ -55,17 +49,11 @@ from repro.streaming.online_pca import (
     eigh_descending,
     merge_online_pca,
 )
-from repro.streaming.low_rank import (
-    LowRankEigenTracker,
-    compress_engine,
-    merge_low_rank,
-)
 from repro.streaming.detector import (
     ChunkDetections,
     StreamDetection,
     StreamingSubspaceDetector,
     SubspaceSnapshot,
-    make_engine,
     make_limits_policy,
 )
 from repro.streaming.sources import (
@@ -99,14 +87,10 @@ __all__ = [
     "OnlinePCA",
     "eigh_descending",
     "merge_online_pca",
-    "LowRankEigenTracker",
-    "compress_engine",
-    "merge_low_rank",
     "SubspaceSnapshot",
     "StreamDetection",
     "ChunkDetections",
     "StreamingSubspaceDetector",
-    "make_engine",
     "make_limits_policy",
     "TrafficChunk",
     "ChunkSource",

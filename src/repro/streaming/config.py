@@ -12,10 +12,12 @@ __all__ = ["StreamingConfig", "forgetting_from_half_life"]
 
 #: Fields older checkpoint manifests carry that the config no longer has:
 #: the single-process column-shard count, the type-parallel mode switch,
-#: the shard-mode chunk-bus ring length and worker liveness poll, and the
-#: hierarchy's default PoP count (now only its constructor argument).
+#: the shard-mode chunk-bus ring length and worker liveness poll, the
+#: hierarchy's default PoP count (now only its constructor argument), and
+#: the moment-engine switch with the two knobs of the removed low-rank
+#: engine (its tracked-rank slack and orthonormality-drift threshold).
 RETIRED_FIELDS = ("n_shards", "parallel_mode", "bus_slots", "poll_seconds",
-                  "n_pops")
+                  "n_pops", "engine", "rank_slack", "drift_tolerance")
 
 
 def forgetting_from_half_life(half_life_bins: float) -> float:
@@ -60,25 +62,6 @@ class StreamingConfig:
     identify:
         Whether to run per-bin OD-flow identification at all (disable for
         pure detection throughput, e.g. in benchmarks).
-    engine:
-        Moment-engine family.  ``"exact"`` (the default) maintains the full
-        ``p x p`` scatter and recalibrates through an ``O(p³)``
-        ``eigvalsh`` plus a filtered top-``n_normal`` block
-        (:func:`~repro.streaming.online_pca.top_eigenbasis`);
-        ``"lowrank"`` maintains only the top
-        ``n_normal + rank_slack`` eigenpairs via a
-        :class:`~repro.streaming.low_rank.LowRankEigenTracker`, dropping
-        the recalibration path to ``O(m·p·r + r³)`` per chunk.
-    rank_slack:
-        Extra eigenpairs tracked beyond ``n_normal`` by the low-rank
-        engine (``r = n_normal + rank_slack``).  At least ``1`` — the
-        detector requires strictly more components than the normal
-        dimension, exactly as the batch fit does — and a handful of extra
-        pairs is recommended: slack keeps the tracked top-``k`` subspace
-        accurate under truncation and the SPE tail well approximated.
-    drift_tolerance:
-        Basis orthonormality-drift threshold ``max|UᵀU − I|`` above which
-        the low-rank engine re-orthonormalizes (QR + small-core eigh).
     limits:
         Control-limit policy.  ``"fixed"`` (the default) applies the
         parametric limits recomputed at each recalibration verbatim;
@@ -146,9 +129,6 @@ class StreamingConfig:
     recalibrate_every_bins: int = 1
     max_identified_flows: int = 16
     identify: bool = True
-    engine: str = "exact"
-    rank_slack: int = 8
-    drift_tolerance: float = 1e-10
     limits: str = "fixed"
     adaptive_warmup_bins: int = 64
     adaptive_smoothing: float = 0.25
@@ -173,12 +153,6 @@ class StreamingConfig:
                 "recalibrate_every_bins must be >= 1")
         require(self.max_identified_flows >= 1,
                 "max_identified_flows must be >= 1")
-        require(self.engine in ("exact", "lowrank"),
-                "engine must be 'exact' or 'lowrank'")
-        require(self.rank_slack >= 1, "rank_slack must be >= 1 "
-                "(the tracked rank r = n_normal + rank_slack must exceed "
-                "the normal subspace dimension, as in the batch fit)")
-        require(self.drift_tolerance >= 0.0, "drift_tolerance must be >= 0")
         require(self.limits in ("fixed", "adaptive"),
                 "limits must be 'fixed' or 'adaptive'")
         require(self.adaptive_warmup_bins >= 1,

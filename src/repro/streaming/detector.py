@@ -40,17 +40,7 @@ from repro.streaming.online_pca import OnlinePCA
 from repro.utils.validation import ensure_2d, require
 
 __all__ = ["SubspaceSnapshot", "StreamDetection", "ChunkDetections",
-           "StreamingSubspaceDetector", "make_engine", "make_limits_policy"]
-
-
-def make_engine(config: StreamingConfig):
-    """The moment engine a config asks for: exact or low-rank."""
-    if config.engine == "lowrank":
-        from repro.streaming.low_rank import LowRankEigenTracker
-        return LowRankEigenTracker(rank=config.n_normal + config.rank_slack,
-                                   forgetting=config.forgetting,
-                                   drift_tolerance=config.drift_tolerance)
-    return OnlinePCA(forgetting=config.forgetting)
+           "StreamingSubspaceDetector", "make_limits_policy"]
 
 
 def make_limits_policy(config: StreamingConfig) -> Optional[AdaptiveControlLimits]:
@@ -196,14 +186,8 @@ class StreamingSubspaceDetector:
     def __init__(self, config: StreamingConfig = StreamingConfig(),
                  engine=None) -> None:
         self._config = config
-        self._engine = engine if engine is not None else make_engine(config)
-        # A rank-limited engine that can never exceed n_normal components
-        # would stay in warmup forever; reject it loudly up front.
-        rank_limit = getattr(self._engine, "rank_limit", None)
-        require(rank_limit is None or rank_limit > config.n_normal,
-                f"engine tracks only {rank_limit} eigenpairs but the "
-                f"detector needs more than n_normal={config.n_normal}; "
-                f"increase the tracked rank")
+        self._engine = (engine if engine is not None
+                        else OnlinePCA(forgetting=config.forgetting))
         self._adaptive = make_limits_policy(config)
         self._snapshot: Optional[SubspaceSnapshot] = None
         self._bins_at_calibration = 0
@@ -221,25 +205,6 @@ class StreamingSubspaceDetector:
         """
         self._telemetry = telemetry
         self._metric_labels = dict(labels) if labels else {}
-
-    def _record_model_gauges(self) -> None:
-        """Post-calibration model health: low-rank drift + adaptive scales."""
-        registry = self._telemetry.registry
-        labels = self._metric_labels
-        engine = self._engine
-        if hasattr(engine, "residual_energy"):
-            registry.gauge("lowrank_residual_energy", labels,
-                           help="Scatter energy outside the tracked "
-                           "basis").set(engine.residual_energy)
-            registry.gauge("lowrank_rank", labels,
-                           help="Eigenpairs currently "
-                           "tracked").set(engine.tracked_rank)
-            registry.gauge(
-                "lowrank_reorthogonalizations", labels,
-                help="Drift-monitor re-orthonormalizations so far",
-            ).set(engine.n_reorthogonalizations)
-        if self._adaptive is not None:
-            self._record_adaptive_gauges()
 
     def _record_adaptive_gauges(self) -> None:
         registry = self._telemetry.registry
@@ -260,10 +225,9 @@ class StreamingSubspaceDetector:
     def engine(self):
         """The underlying running-moments engine.
 
-        The engine :func:`make_engine` builds from the config (an
-        :class:`OnlinePCA` or a low-rank tracker) unless an explicit
-        ``engine=`` argument supplied another — all expose the same
-        accessor/serialization surface.
+        An :class:`OnlinePCA` with the config's forgetting factor unless
+        an explicit ``engine=`` argument supplied another with the same
+        accessor/serialization surface (the hierarchy's per-PoP fold).
         """
         return self._engine
 
@@ -340,7 +304,8 @@ class StreamingSubspaceDetector:
             help="Recalibrations whose top-k eigenbasis missed the filtered "
                  "route's tolerance and ran the full eigh").inc(
             self._engine.eigen_fallbacks - fallbacks)
-        self._record_model_gauges()
+        if self._adaptive is not None:
+            self._record_adaptive_gauges()
         return snapshot
 
     def _calibrate(self) -> SubspaceSnapshot:
@@ -348,15 +313,7 @@ class StreamingSubspaceDetector:
                 "not enough ingested data to calibrate the subspace model")
         config = self._config
         engine = self._engine
-        # For the exact engines this is the (cached) eigvalsh spectrum plus
-        # the top-k axes of the maintained covariance; a LowRankEigenTracker
-        # hands back its incrementally maintained basis directly — nothing
-        # is decomposed.
         eigenvalues, axes = engine.eigenbasis(config.n_normal)
-        require(axes.shape[1] >= config.n_normal,
-                f"engine tracks only {axes.shape[1]} axes but the normal "
-                f"subspace needs {config.n_normal}; increase the tracked "
-                f"rank (rank_slack) or wait for more data")
         limits = control_limits(
             eigenvalues,
             config.n_normal,
@@ -552,16 +509,12 @@ class StreamingSubspaceDetector:
     def from_state(cls, config: StreamingConfig, meta: Mapping,
                    arrays: Mapping[str, np.ndarray]) -> "StreamingSubspaceDetector":
         """Rebuild a detector that resumes the stream mid-flight."""
-        from repro.streaming.low_rank import LowRankEigenTracker
-        engine_kinds = {OnlinePCA.STATE_KIND: OnlinePCA,
-                        LowRankEigenTracker.STATE_KIND: LowRankEigenTracker}
         engine_meta = meta["engine"]
-        try:
-            engine_cls = engine_kinds[engine_meta["kind"]]
-        except KeyError:
-            raise ValueError(
-                f"unknown engine kind {engine_meta['kind']!r}") from None
-        engine = engine_cls.from_state(
+        require(engine_meta["kind"] == OnlinePCA.STATE_KIND,
+                f"unknown engine kind {engine_meta['kind']!r}: "
+                f"{OnlinePCA.STATE_KIND!r} is the only moment engine (the "
+                f"low-rank eigenbasis tracker was removed)")
+        engine = OnlinePCA.from_state(
             engine_meta,
             {k[len("engine__"):]: v for k, v in arrays.items()
              if k.startswith("engine__")})

@@ -21,8 +21,6 @@ accounting, telemetry, the ``on_events`` hook and ``finish()`` — is the
 flat detector's own chunk loop, so a hierarchical run over the identical
 chunk sequence emits the identical report (``forgetting = 1`` makes the
 merge order-free; enforced by ``tests/test_streaming_hierarchy.py``).
-Only the exact engine is accepted: a low-rank merge truncates to the
-tracked rank at every fold, so its events would depend on the PoP split.
 
 What is hierarchical is the bookkeeping around that loop: routing chunks
 to PoPs, the watermark deadline that quarantines a silent PoP (its
@@ -46,7 +44,7 @@ import numpy as np
 from repro.core.events import AnomalyEvent
 from repro.flows.timeseries import TrafficType
 from repro.streaming.config import StreamingConfig
-from repro.streaming.detector import StreamingSubspaceDetector, make_engine
+from repro.streaming.detector import StreamingSubspaceDetector
 from repro.streaming.online_pca import OnlinePCA, merge_online_pca
 from repro.streaming.pipeline import StreamingNetworkDetector
 from repro.streaming.sources import TrafficChunk
@@ -68,7 +66,8 @@ class _MergedEngine:
     def __init__(self, config: StreamingConfig, n_pops: int,
                  route: Callable[[], int], quarantined: set) -> None:
         self._forgetting = config.forgetting
-        self._engines = [make_engine(config) for _ in range(n_pops)]
+        self._engines = [OnlinePCA(forgetting=config.forgetting)
+                         for _ in range(n_pops)]
         self._route = route
         # Shared (by reference) with the owning hierarchy: a quarantined
         # PoP's stale moments stop shaping the global model until it is
@@ -143,8 +142,6 @@ class HierarchicalNetworkDetector(StreamingNetworkDetector):
         then is the Chan moment merge order-free, which is what makes the
         global model — and therefore the event list — independent of how
         chunks were routed to PoPs and identical to a flat run.
-        ``engine`` must be ``"exact"``: the low-rank merge truncates at
-        every fold, so its result depends on the PoP split.
     n_pops:
         Number of per-PoP engines; ``1`` is an (equivalent) flat run.
     traffic_types:
@@ -166,11 +163,6 @@ class HierarchicalNetworkDetector(StreamingNetworkDetector):
                 "hierarchical aggregation requires forgetting == 1.0 (the "
                 "parallel-moments merge is only order-free without decay, "
                 "so a forgetting run would depend on the PoP routing)")
-        require(config.engine == "exact",
-                "hierarchical aggregation requires engine='exact' (the "
-                "low-rank merge truncates to the tracked rank at every "
-                "fold, so a per-PoP run's events would differ from the "
-                "flat run's)")
         super().__init__(config, traffic_types)
         self._leaf_end_bin = [0] * n_pops
         # PoPs in this set stopped producing (missed the watermark

@@ -15,7 +15,7 @@ with running first and second moments updated chunk by chunk:
   — once per recalibration instead of ``O(n p²)`` per chunk for a
   full-history SVD — and cached until new data arrives.  The control
   limits need every eigenvalue but the detector only the top ``k`` axes,
-  so :meth:`~_MomentTracker.eigenbasis` ``(k)`` computes the spectrum
+  so :meth:`~OnlinePCA.eigenbasis` ``(k)`` computes the spectrum
   with ``eigvalsh`` (no eigenvectors) and the ``k`` axes with a
   Chebyshev-filtered subspace iteration (Zhou & Saad, J. Comput. Phys.
   2007) over a block of ``2k`` vectors: a handful of ``p x p`` by
@@ -23,7 +23,7 @@ with running first and second moments updated chunk by chunk:
   ``eigh``.  Spectra the filter cannot separate and requests for every
   axis keep the full ``eigh``; so does a block that misses its residual
   tolerance within the round cap or converges onto the wrong eigenvalues
-  (counted in :attr:`~_MomentTracker.eigen_fallbacks`).
+  (counted in :attr:`~OnlinePCA.eigen_fallbacks`).
 
 Cost per ingested chunk of ``m`` bins is ``O(m p²)`` (one rank-``m`` scatter
 update) with ``O(p²)`` memory, independent of the stream length ``n``.
@@ -42,10 +42,11 @@ would have folded them, so from then on the engine is bit for bit the
 scatter engine it would have been.  Only the bin count against ``p`` picks
 the mode.
 
-The weighting/decay bookkeeping lives once in the :class:`_MomentTracker`
-base shared with the low-rank tracker
-(:class:`~repro.streaming.low_rank.LowRankEigenTracker`); only the scatter
-storage differs between the two.
+Every decomposition here goes through ``numpy.linalg``, never
+``scipy.linalg``: scipy ships its own OpenBLAS, and alternating two
+2-thread BLAS libraries in one process made each recalibration ~10× slower
+on a 2-vCPU box (``tests/test_streaming.py`` checks that a run never
+imports it).
 
 :func:`merge_online_pca` combines engines that ingested *disjoint
 consecutive segments* of the stream with the same pairwise Chan combine
@@ -249,7 +250,7 @@ def _forgetting_weights(m: int, lam: float) -> Tuple[np.ndarray, float, float, f
 
 
 def _chunk_moments(matrix: np.ndarray, lam: float):
-    """Per-chunk weighting preamble shared by every moment engine.
+    """Per-chunk weighting preamble of :meth:`OnlinePCA.partial_fit`.
 
     Returns ``(weights, chunk_weight, chunk_weight_sq, decay, decay_sq,
     chunk_mean)`` for an ``m``-row chunk under forgetting ``λ``: row ``i``
@@ -267,14 +268,25 @@ def _chunk_moments(matrix: np.ndarray, lam: float):
     return weights, chunk_weight, chunk_weight_sq, decay, decay**2, chunk_mean
 
 
-class _MomentTracker:
-    """Scalar moment bookkeeping shared by the exact and low-rank engines.
+class OnlinePCA:
+    """Running mean/covariance PCA with exponential forgetting.
 
-    Owns the forgetting factor, the running mean, the weight sums, and the
-    eigenbasis cache; subclasses implement only how the centered scatter is
-    stored (:meth:`_initialize_scatter` / :meth:`_apply_scatter_update`)
-    and how it is read back (:meth:`covariance`).
+    While fewer than ``p`` bins have been ingested the engine holds the
+    bins themselves and recalibrates through their Gram matrix (snapshot
+    mode, :attr:`holds_bins`); from the chunk that reaches ``p`` bins on it
+    maintains the ``p x p`` scatter.  Both give the same moments.
+
+    Parameters
+    ----------
+    forgetting:
+        Per-bin decay factor ``λ`` in ``(0, 1]``.  With ``λ = 1`` the model
+        accumulates all history with uniform weight (and exactly reproduces
+        the batch sample covariance); with ``λ < 1`` a bin seen ``d`` bins
+        ago carries weight ``λ^d``.
     """
+
+    #: Engine-kind tag written into checkpoint manifests.
+    STATE_KIND = "online_pca"
 
     def __init__(self, forgetting: float = 1.0) -> None:
         require(0.0 < forgetting <= 1.0, "forgetting must be in (0, 1]")
@@ -295,6 +307,10 @@ class _MomentTracker:
         # Scratch buffer for the centered chunk, reused across partial_fit
         # calls of the same chunk shape (never serialized).
         self._centered_scratch: Optional[np.ndarray] = None
+        self._scatter: Optional[np.ndarray] = None
+        # Snapshot mode (no scatter yet): copies of the ingested chunks in
+        # stream order, kept while they hold fewer than p bins.
+        self._chunks: List[np.ndarray] = []
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -368,153 +384,6 @@ class _MomentTracker:
             return 0
         return min(self._n_bins_seen, self._n_features)
 
-    # ------------------------------------------------------------------ #
-    # updates
-    # ------------------------------------------------------------------ #
-    def partial_fit(self, chunk: np.ndarray):
-        """Merge a chunk of ``m`` consecutive timebins into the moments.
-
-        Rows must be in time order (the last row is the most recent bin);
-        with forgetting, row ``i`` of an ``m``-row chunk receives weight
-        ``λ^(m-1-i)`` and all previously accumulated weight decays by
-        ``λ^m``.
-        """
-        matrix = ensure_2d(chunk, "chunk")
-        m, p = matrix.shape
-        require(m >= 1, "chunk must contain at least one bin")
-        if self._n_features is None:
-            self._n_features = p
-            self._mean = np.zeros(p)
-            self._initialize_scatter(p)
-        require(p == self._n_features, "chunk has the wrong number of OD flows")
-
-        (weights, chunk_weight, chunk_weight_sq, decay, decay_sq,
-         chunk_mean) = _chunk_moments(matrix, self._forgetting)
-        centered = self._centered_scratch
-        if centered is None or centered.shape != matrix.shape:
-            centered = np.empty_like(matrix)
-            self._centered_scratch = centered
-        np.subtract(matrix, chunk_mean, out=centered)
-        self._merge_weighted_chunk(
-            chunk_weight, chunk_weight_sq, chunk_mean, decay, decay_sq, m,
-            lambda delta, coefficient: self._apply_scatter_update(
-                centered, weights, delta, decay, coefficient))
-        return self
-
-    def _merge_weighted_chunk(self, chunk_weight: float,
-                              chunk_weight_sq: float, chunk_mean: np.ndarray,
-                              decay: float, decay_sq: float, n_bins: int,
-                              scatter_update) -> None:
-        """The pairwise Chan parallel-moments combine, applied in place.
-
-        The single home of the combine arithmetic: :meth:`partial_fit`
-        passes a raw chunk's weighted moments here, and
-        :func:`merge_online_pca` passes a whole
-        engine's moment tuple — both therefore stay exactly in step.
-        *scatter_update* receives ``(delta, outer_coefficient)`` and must
-        fold the chunk scatter plus ``outer(delta, delta) * coefficient``
-        into the stored (decayed) scatter.
-        """
-        prior_weight = self._weight_sum * decay
-        total_weight = prior_weight + chunk_weight
-        delta = chunk_mean - self._mean
-        scatter_update(delta, prior_weight * chunk_weight / total_weight)
-        self._mean = self._mean + delta * (chunk_weight / total_weight)
-        self._weight_sum = total_weight
-        self._weight_sq_sum = self._weight_sq_sum * decay_sq + chunk_weight_sq
-        self._n_bins_seen += n_bins
-        self._version += 1
-
-    def _initialize_scatter(self, n_features: int) -> None:
-        raise NotImplementedError
-
-    def _apply_scatter_update(self, centered: np.ndarray,
-                              weights: Optional[np.ndarray],
-                              delta: np.ndarray, decay: float,
-                              outer_coefficient: float) -> None:
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # derived quantities
-    # ------------------------------------------------------------------ #
-    def covariance(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def eigenbasis(self, n_axes: Optional[int] = None
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (descending, length ``p``) and the leading axes.
-
-        Column ``j`` of the axes matrix is the ``j``-th principal axis in
-        OD-flow space — the streaming analogue of
-        :meth:`~repro.core.pca.EigenflowDecomposition.principal_axes`.
-        With *n_axes* only the first ``n_axes`` columns are computed and
-        returned (see :func:`top_eigenbasis`); without it, all ``p`` (one
-        full ``eigh``).  The result is cached until :meth:`partial_fit` is
-        called again or a different *n_axes* is requested.
-        """
-        if (self._basis_version != self._version
-                or self._basis_axes_requested != n_axes):
-            if n_axes is None:
-                eigenvalues, axes = eigh_descending(self.covariance())
-            else:
-                eigenvalues, axes, fell_back = self._top_eigenbasis(n_axes)
-                self._eigen_fallbacks += int(fell_back)
-            self._cached_eigenvalues = eigenvalues
-            self._cached_axes = axes
-            self._basis_version = self._version
-            self._basis_axes_requested = n_axes
-        return self._cached_eigenvalues, self._cached_axes
-
-    def _top_eigenbasis(self, n_axes: int
-                        ) -> Tuple[np.ndarray, np.ndarray, bool]:
-        return top_eigenbasis(self.covariance(), n_axes)
-
-    # ------------------------------------------------------------------ #
-    # serialization (checkpoint/restore)
-    # ------------------------------------------------------------------ #
-    def _scalar_state(self, kind: str) -> Dict:
-        return {
-            "kind": kind,
-            "forgetting": self._forgetting,
-            "weight_sum": self._weight_sum,
-            "weight_sq_sum": self._weight_sq_sum,
-            "n_bins_seen": self._n_bins_seen,
-            "has_data": self._n_features is not None,
-        }
-
-    def _restore_scalars(self, meta: Mapping) -> None:
-        self._weight_sum = float(meta["weight_sum"])
-        self._weight_sq_sum = float(meta["weight_sq_sum"])
-        self._n_bins_seen = int(meta["n_bins_seen"])
-
-
-class OnlinePCA(_MomentTracker):
-    """Running mean/covariance PCA with exponential forgetting.
-
-    While fewer than ``p`` bins have been ingested the engine holds the
-    bins themselves and recalibrates through their Gram matrix (snapshot
-    mode, :attr:`holds_bins`); from the chunk that reaches ``p`` bins on it
-    maintains the ``p x p`` scatter.  Both give the same moments.
-
-    Parameters
-    ----------
-    forgetting:
-        Per-bin decay factor ``λ`` in ``(0, 1]``.  With ``λ = 1`` the model
-        accumulates all history with uniform weight (and exactly reproduces
-        the batch sample covariance); with ``λ < 1`` a bin seen ``d`` bins
-        ago carries weight ``λ^d``.
-    """
-
-    #: Engine-kind tag written into checkpoint manifests.
-    STATE_KIND = "online_pca"
-
-    def __init__(self, forgetting: float = 1.0) -> None:
-        super().__init__(forgetting)
-        self._scatter: Optional[np.ndarray] = None
-        # Snapshot mode (no scatter yet): copies of the ingested chunks in
-        # stream order, kept while they hold fewer than p bins.
-        self._chunks: List[np.ndarray] = []
-
     @property
     def holds_bins(self) -> bool:
         """Whether the engine keeps its (fewer than ``p``) bins instead of
@@ -527,20 +396,73 @@ class OnlinePCA(_MomentTracker):
     def partial_fit(self, chunk: np.ndarray):
         """Merge a chunk of ``m`` consecutive timebins into the moments.
 
-        See :meth:`_MomentTracker.partial_fit`.  A chunk that leaves the
-        engine with fewer than ``p`` bins is kept (``O(m p)``: the mean and
-        weights update, the scatter does not exist yet); the first chunk
-        that reaches ``p`` bins replays the kept chunks into the scatter.
+        Rows must be in time order (the last row is the most recent bin);
+        with forgetting, row ``i`` of an ``m``-row chunk receives weight
+        ``λ^(m-1-i)`` and all previously accumulated weight decays by
+        ``λ^m``.  A chunk that leaves the engine with fewer than ``p`` bins
+        is kept (``O(m p)``: the mean and weights update, the scatter does
+        not exist yet); the first chunk that reaches ``p`` bins replays the
+        kept chunks into the scatter.
         """
         matrix = ensure_2d(chunk, "chunk")
         m, p = matrix.shape
-        if self._scatter is None and p == (self._n_features or p):
+        require(m >= 1, "chunk must contain at least one bin")
+        if self._n_features is None:
+            self._n_features = p
+            self._mean = np.zeros(p)
+        require(p == self._n_features, "chunk has the wrong number of OD flows")
+        if self._scatter is None:
             if self._n_bins_seen + m < p:
-                super().partial_fit(matrix)
+                self._fold_chunk(matrix)
                 self._chunks.append(matrix.copy())
                 return self
             self._build_scatter(p)
-        return super().partial_fit(matrix)
+        self._fold_chunk(matrix)
+        return self
+
+    def _fold_chunk(self, matrix: np.ndarray) -> None:
+        """One chunk's weighted moments through :meth:`_combine`, plus its
+        scatter once the engine keeps one."""
+        (weights, chunk_weight, chunk_weight_sq, decay, decay_sq,
+         chunk_mean) = _chunk_moments(matrix, self._forgetting)
+        delta, coefficient = self._combine(
+            chunk_weight, chunk_weight_sq, chunk_mean, decay, decay_sq,
+            matrix.shape[0])
+        if self._scatter is None:
+            return  # snapshot mode: partial_fit keeps the chunk itself
+        centered = self._centered_scratch
+        if centered is None or centered.shape != matrix.shape:
+            centered = np.empty_like(matrix)
+            self._centered_scratch = centered
+        np.subtract(matrix, chunk_mean, out=centered)
+        if weights is None:
+            chunk_scatter = centered.T @ centered
+        else:
+            chunk_scatter = (centered * weights[:, np.newaxis]).T @ centered
+        self._merge_scatter(chunk_scatter, delta, decay, coefficient)
+
+    def _combine(self, chunk_weight: float, chunk_weight_sq: float,
+                 chunk_mean: np.ndarray, decay: float, decay_sq: float,
+                 n_bins: int) -> Tuple[np.ndarray, float]:
+        """The pairwise Chan parallel-moments combine of mean and weights.
+
+        The single home of the combine arithmetic: :meth:`partial_fit`
+        passes a raw chunk's weighted moments here, and
+        :func:`merge_online_pca` passes a whole engine's moment tuple —
+        both therefore stay exactly in step.  Updates the mean and the
+        weight sums in place and returns ``(delta, outer_coefficient)``
+        for :meth:`_merge_scatter`.
+        """
+        prior_weight = self._weight_sum * decay
+        total_weight = prior_weight + chunk_weight
+        delta = chunk_mean - self._mean
+        coefficient = prior_weight * chunk_weight / total_weight
+        self._mean = self._mean + delta * (chunk_weight / total_weight)
+        self._weight_sum = total_weight
+        self._weight_sq_sum = self._weight_sq_sum * decay_sq + chunk_weight_sq
+        self._n_bins_seen += n_bins
+        self._version += 1
+        return delta, coefficient
 
     def _build_scatter(self, n_features: int) -> None:
         """Leave snapshot mode: fold the kept chunks into a new scatter.
@@ -557,23 +479,7 @@ class OnlinePCA(_MomentTracker):
         self._weight_sum = self._weight_sq_sum = 0.0
         self._n_bins_seen = 0
         for chunk in chunks:
-            _MomentTracker.partial_fit(self, chunk)
-
-    def _initialize_scatter(self, n_features: int) -> None:
-        # The scatter is created by _build_scatter once p bins arrive.
-        pass
-
-    def _apply_scatter_update(self, centered: np.ndarray,
-                              weights: Optional[np.ndarray],
-                              delta: np.ndarray, decay: float,
-                              outer_coefficient: float) -> None:
-        if self._scatter is None:
-            return  # snapshot mode: partial_fit keeps the chunk itself
-        if weights is None:
-            chunk_scatter = centered.T @ centered
-        else:
-            chunk_scatter = (centered * weights[:, np.newaxis]).T @ centered
-        self._merge_scatter(chunk_scatter, delta, decay, outer_coefficient)
+            self._fold_chunk(chunk)
 
     def _merge_scatter(self, chunk_scatter: np.ndarray, delta: np.ndarray,
                        decay: float, outer_coefficient: float) -> None:
@@ -625,13 +531,37 @@ class OnlinePCA(_MomentTracker):
                 "need total weight > 1 for a sample covariance")
         return self._scatter / (self._weight_sum - 1.0)
 
-    def _top_eigenbasis(self, n_axes: int
-                        ) -> Tuple[np.ndarray, np.ndarray, bool]:
-        if self.holds_bins and n_axes < self._n_bins_seen:
-            result = snapshot_eigenbasis(self._scaled_rows(), n_axes)
-            if result is not None:
-                return result
-        return super()._top_eigenbasis(n_axes)
+    def eigenbasis(self, n_axes: Optional[int] = None
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (descending, length ``p``) and the leading axes.
+
+        Column ``j`` of the axes matrix is the ``j``-th principal axis in
+        OD-flow space — the streaming analogue of
+        :meth:`~repro.core.pca.EigenflowDecomposition.principal_axes`.
+        With *n_axes* only the first ``n_axes`` columns are computed and
+        returned (see :func:`top_eigenbasis`, or
+        :func:`snapshot_eigenbasis` in snapshot mode); without it, all
+        ``p`` (one full ``eigh``).  The result is cached until
+        :meth:`partial_fit` is called again or a different *n_axes* is
+        requested.
+        """
+        if (self._basis_version != self._version
+                or self._basis_axes_requested != n_axes):
+            if n_axes is None:
+                eigenvalues, axes = eigh_descending(self.covariance())
+            else:
+                result = None
+                if self.holds_bins and n_axes < self._n_bins_seen:
+                    result = snapshot_eigenbasis(self._scaled_rows(), n_axes)
+                if result is None:
+                    result = top_eigenbasis(self.covariance(), n_axes)
+                eigenvalues, axes, fell_back = result
+                self._eigen_fallbacks += int(fell_back)
+            self._cached_eigenvalues = eigenvalues
+            self._cached_axes = axes
+            self._basis_version = self._version
+            self._basis_axes_requested = n_axes
+        return self._cached_eigenvalues, self._cached_axes
 
     # ------------------------------------------------------------------ #
     # serialization (checkpoint/restore)
@@ -655,7 +585,15 @@ class OnlinePCA(_MomentTracker):
                     [chunk.shape[0] for chunk in self._chunks], dtype=np.int64)
             else:
                 arrays["scatter"] = np.array(self._scatter, dtype=float)
-        return {"meta": self._scalar_state(self.STATE_KIND), "arrays": arrays}
+        meta = {
+            "kind": self.STATE_KIND,
+            "forgetting": self._forgetting,
+            "weight_sum": self._weight_sum,
+            "weight_sq_sum": self._weight_sq_sum,
+            "n_bins_seen": self._n_bins_seen,
+            "has_data": self._n_features is not None,
+        }
+        return {"meta": meta, "arrays": arrays}
 
     @classmethod
     def from_state(cls, meta: Mapping, arrays: Mapping[str, np.ndarray]) -> "OnlinePCA":
@@ -663,7 +601,9 @@ class OnlinePCA(_MomentTracker):
         require(meta.get("kind") == cls.STATE_KIND,
                 f"state is not an {cls.STATE_KIND} state")
         engine = cls(forgetting=float(meta["forgetting"]))
-        engine._restore_scalars(meta)
+        engine._weight_sum = float(meta["weight_sum"])
+        engine._weight_sq_sum = float(meta["weight_sq_sum"])
+        engine._n_bins_seen = int(meta["n_bins_seen"])
         if meta["has_data"]:
             mean = np.array(arrays["mean"], dtype=float)
             p = mean.size
@@ -707,22 +647,7 @@ def merge_online_pca(earlier: OnlinePCA, later: OnlinePCA) -> OnlinePCA:
     side's scatter is combined, and an input that still holds its bins is
     switched to its scatter in place first (its moments are unchanged), so
     repeated merges of the same engines convert each of them only once.
-
-    A pair of :class:`~repro.streaming.low_rank.LowRankEigenTracker`
-    engines is dispatched to :func:`~repro.streaming.low_rank.merge_low_rank`
-    (the same Chan combine through a small factored core instead of the
-    full scatter); mixing a low-rank tracker with an exact engine is
-    rejected — compress the exact one first via
-    :func:`~repro.streaming.low_rank.compress_engine`.
     """
-    from repro.streaming.low_rank import LowRankEigenTracker, merge_low_rank
-    low_rank_flags = (isinstance(earlier, LowRankEigenTracker),
-                      isinstance(later, LowRankEigenTracker))
-    if all(low_rank_flags):
-        return merge_low_rank(earlier, later)
-    require(not any(low_rank_flags),
-            "cannot merge a low-rank tracker with an exact engine; compress "
-            "the exact engine via compress_engine first")
     require(earlier.forgetting == later.forgetting,
             "engines must share the same forgetting factor")
     if later.n_features is None:
@@ -742,19 +667,18 @@ def merge_online_pca(earlier: OnlinePCA, later: OnlinePCA) -> OnlinePCA:
     merged = OnlinePCA.from_state(**earlier.state_dict())
     second = OnlinePCA.from_state(**later.state_dict())
     decay = earlier.forgetting ** later.n_bins_seen
-    # The shared Chan combine of _MomentTracker, fed a whole moment tuple
-    # (the later segment) instead of a raw chunk.
-    merged._merge_weighted_chunk(
+    # The per-chunk Chan combine, fed a whole moment tuple (the later
+    # segment) instead of a raw chunk.
+    delta, coefficient = merged._combine(
         chunk_weight=second.weight_sum,
         chunk_weight_sq=second.weight_sq_sum,
         chunk_mean=second._mean,
         decay=decay,
         decay_sq=decay**2,
         n_bins=second.n_bins_seen,
-        scatter_update=lambda delta, coefficient: (
-            None if keep_bins else merged._merge_scatter(
-                second._scatter, delta, decay, coefficient)),
     )
     if keep_bins:
         merged._chunks.extend(second._chunks)
+    else:
+        merged._merge_scatter(second._scatter, delta, decay, coefficient)
     return merged

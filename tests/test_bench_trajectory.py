@@ -43,7 +43,7 @@ def artifact_dir(tmp_path):
     _write(directory / "bench_sectioned.json", {
         "recalibration": {
             "benchmark": "bench_recal",
-            "lowrank_speedup": 50.0,
+            "recal_speedup": 50.0,
             "gate": {"min_speedup": 5.0},
         },
         "parity_section": {
@@ -63,7 +63,7 @@ class TestConsolidate:
                                               "bench_parity"}
         on_disk = json.loads(output.read_text())
         assert on_disk["schema"] == bench_trajectory.SCHEMA_VERSION
-        assert on_disk["benchmarks"]["bench_recal"]["lowrank_speedup"] == 50.0
+        assert on_disk["benchmarks"]["bench_recal"]["recal_speedup"] == 50.0
 
     def test_reconsolidating_a_partial_run_keeps_absent_records(
             self, artifact_dir, tmp_path):
@@ -128,22 +128,23 @@ class TestCheck:
         assert "span_recall" in failures[0]
         assert "not checked" in capsys.readouterr().out
 
-    def test_ratio_named_ungated_is_recorded_not_gated(self, artifact_dir,
-                                                       tmp_path):
+    def test_every_speedup_ratio_of_an_enforced_gate_is_checked(
+            self, artifact_dir, tmp_path):
+        """A record cannot opt single ratios out of its own enforced gate:
+        an ``ungated`` list in it is ignored."""
         record = json.loads((artifact_dir / "bench_flat.json").read_text())
         record["short_speedup"] = 2.0
         record["gate"]["ungated"] = ["short_speedup"]
         _write(artifact_dir / "bench_flat.json", record)
         baseline = self._baseline(artifact_dir, tmp_path)
         record["short_speedup"] = 0.1
-        record["parallel_speedup_vs_baseline"] = 0.1
         _write(artifact_dir / "bench_flat.json", record)
         failures, _, rows = bench_trajectory.compare(baseline, artifact_dir,
                                                      0.5)
         assert len(failures) == 1
-        assert "parallel_speedup_vs_baseline" in failures[0]
+        assert "short_speedup" in failures[0]
         assert [r["status"] for r in rows
-                if r["metric"] == "short_speedup"] == ["not gated (recorded)"]
+                if r["metric"] == "short_speedup"] == ["REGRESSION"]
 
     def test_machine_bound_throughput_is_not_gated(self, artifact_dir,
                                                    tmp_path):

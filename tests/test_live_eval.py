@@ -6,11 +6,8 @@ from repro.core.events import COMBINATION_LABELS
 from repro.core.pipeline import detect_network_anomalies
 from repro.datasets import DatasetConfig, generate_drifting_dataset
 from repro.evaluation.live import (
-    LIVE_ENGINES,
     batch_reference,
     compare_batch_live,
-    engine_config,
-    run_live_engine_suite,
     run_live_evaluation,
 )
 from repro.streaming import StreamingConfig
@@ -26,21 +23,6 @@ def live_result(small_dataset):
 @pytest.fixture(scope="module")
 def batch(small_dataset):
     return batch_reference(small_dataset)
-
-
-class TestEngineConfig:
-    def test_maps_both_engines(self):
-        base = StreamingConfig(min_train_bins=100)
-        exact = engine_config(base, "exact")
-        assert exact.engine == "exact"
-        lowrank = engine_config(base, "lowrank")
-        assert lowrank.engine == "lowrank"
-        # Every other knob of the base config survives the specialization.
-        assert {c.min_train_bins for c in (exact, lowrank)} == {100}
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            engine_config(StreamingConfig(), "batch")
 
 
 class TestRunLiveEvaluation:
@@ -61,9 +43,14 @@ class TestRunLiveEvaluation:
         assert live_result.metrics.detection_rate >= 0.5
         assert live_result.n_warmup_bins > 0
 
+    def test_result_records_the_config_and_chunking_it_ran(self,
+                                                           live_result):
+        assert live_result.config == LIVE_CONFIG
+        assert live_result.chunk_size == 48
+        assert live_result.to_dict()["chunk_size"] == 48
+
     def test_to_dict_and_render(self, live_result):
         data = live_result.to_dict()
-        assert data["engine"] == "exact"
         assert data["n_events"] == live_result.total_events
         assert data["metrics"]["n_ground_truth"] == \
             live_result.metrics.n_ground_truth
@@ -74,17 +61,6 @@ class TestRunLiveEvaluation:
     def test_rejects_unlabeled_datasets(self, clean_dataset):
         with pytest.raises(ValueError, match="no injected anomalies"):
             run_live_evaluation(clean_dataset, LIVE_CONFIG)
-
-    def test_engine_suite_runs_selected_engines(self, small_dataset):
-        suite = run_live_engine_suite(small_dataset, LIVE_CONFIG,
-                                      engines=("exact", "lowrank"),
-                                      chunk_size=48)
-        assert set(suite) == {"exact", "lowrank"}
-        assert all(result.metrics.n_ground_truth > 0
-                   for result in suite.values())
-
-    def test_all_live_engines_are_supported(self):
-        assert set(LIVE_ENGINES) == {"exact", "lowrank"}
 
 
 class TestBatchReference:
@@ -108,7 +84,6 @@ class TestCompareBatchLive:
     def test_delta_structure(self, batch, live_result):
         delta = compare_batch_live(batch, live_result)
         data = delta.to_dict()
-        assert data["engine"] == "exact"
         assert data["delta"]["n_events"] == (live_result.total_events
                                              - batch.total_events)
         parity = data["parity"]

@@ -2,6 +2,9 @@
 incremental aggregation, sources, and the batch-parity guarantees."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -440,6 +443,67 @@ class TestStreamingEdgeCases:
             engine.covariance()
         engine.partial_fit(np.array([[2.0, 1.0, 5.0]]))
         assert engine.covariance().shape == (3, 3)
+
+
+def _signal_stream(rng, n_bins, n_features):
+    """A dominant rank-6 signal plus small noise, ``n_bins x n_features``."""
+    mixing = (rng.normal(size=(6, n_features))
+              * np.linspace(10.0, 3.0, 6)[:, np.newaxis])
+    return (rng.normal(size=(n_bins, 6)) @ mixing + 25.0
+            + 0.01 * rng.normal(size=(n_bins, n_features)))
+
+
+class TestRecalibrationCadence:
+    """Boundary behavior of the recalibrate_every_bins cadence."""
+
+    def test_exactly_at_threshold_recalibrates(self):
+        rng = np.random.default_rng(12)
+        config = StreamingConfig(n_normal=2, min_train_bins=8,
+                                 recalibrate_every_bins=16, identify=False)
+        detector = StreamingSubspaceDetector(config)
+        detector.process_chunk(_signal_stream(rng, 16, 10))
+        first = detector.snapshot
+        assert first is not None
+        # 15 new bins: strictly below the threshold -> same snapshot.
+        detector.process_chunk(_signal_stream(rng, 15, 10))
+        assert detector.snapshot is first
+        # 1 more bin: exactly 16 bins since calibration -> new snapshot.
+        detector.process_chunk(_signal_stream(rng, 1, 10))
+        assert detector.snapshot is not first
+
+    def test_one_recalibrates_on_every_chunk(self):
+        rng = np.random.default_rng(13)
+        config = StreamingConfig(n_normal=2, min_train_bins=8,
+                                 recalibrate_every_bins=1, identify=False)
+        detector = StreamingSubspaceDetector(config)
+        detector.process_chunk(_signal_stream(rng, 12, 10))
+        snapshots = [detector.snapshot]
+        for _ in range(3):
+            detector.process_chunk(_signal_stream(rng, 4, 10))
+            snapshots.append(detector.snapshot)
+        assert all(a is not b for a, b in zip(snapshots[:-1], snapshots[1:]))
+
+
+def test_stream_detect_does_not_import_scipy_linalg():
+    # scipy.linalg runs on scipy's own OpenBLAS; alternating it with
+    # numpy's in one process slowed every recalibration ~10x.  The run
+    # calibrates in snapshot mode (64 and 96 bins < p = 121) and on the
+    # scatter after that.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    code = ("import sys\n"
+            "from repro.datasets import DatasetConfig, generate_abilene_dataset\n"
+            "from repro.streaming import StreamingConfig, chunk_series, "
+            "stream_detect\n"
+            "series = generate_abilene_dataset(DatasetConfig(weeks=1 / 7), "
+            "seed=5).series\n"
+            "stream_detect(chunk_series(series, 32), StreamingConfig("
+            "min_train_bins=64, recalibrate_every_bins=32))\n"
+            "print('scipy.linalg' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 class TestLiveStreaming:

@@ -140,13 +140,15 @@ class TestCheckpointRoundtrip:
     def test_manifest_with_retired_config_keys_restores(
             self, small_dataset, live_config, uninterrupted, tmp_path):
         # Manifests written before the column-shard count, the parallel
-        # mode, shard mode's bus/poll knobs and the hierarchy's default
-        # PoP count left StreamingConfig still carry those keys.
+        # mode, shard mode's bus/poll knobs, the hierarchy's default PoP
+        # count and the moment-engine switch with its low-rank knobs left
+        # StreamingConfig still carry those keys.
         path, manifest = self._saved(small_dataset, live_config,
                                      tmp_path / "ckpt")
         manifest["meta"]["config"].update(n_shards=1, parallel_mode="type",
                                           bus_slots=8, poll_seconds=1.0,
-                                          n_pops=2)
+                                          n_pops=2, engine="exact",
+                                          rank_slack=8, drift_tolerance=1e-10)
         (path / MANIFEST_FILENAME).write_text(json.dumps(manifest))
 
         restored = load_checkpoint(path)
@@ -167,6 +169,40 @@ class TestCheckpointRoundtrip:
         (path / MANIFEST_FILENAME).write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="unknown engine kind"):
             load_checkpoint(path)
+
+    def test_low_rank_engine_kind_names_the_removed_engine(
+            self, small_dataset, live_config, tmp_path):
+        path, manifest = self._saved(small_dataset, live_config,
+                                     tmp_path / "ckpt")
+        manifest["meta"]["config"].update(engine="lowrank", rank_slack=8,
+                                          drift_tolerance=1e-10)
+        manifest["meta"]["detectors"]["bytes"]["engine"]["kind"] = (
+            "low_rank_eigen")
+        (path / MANIFEST_FILENAME).write_text(json.dumps(manifest))
+        with pytest.raises(ValueError,
+                           match="low-rank eigenbasis tracker was removed"):
+            load_checkpoint(path)
+
+
+class TestRetiredConfigFields:
+    """The moment-engine switch and the removed low-rank engine's two knobs
+    are gone from the config but stay readable in old manifests."""
+
+    @pytest.mark.parametrize("field,value", [("engine", "lowrank"),
+                                             ("rank_slack", 8),
+                                             ("drift_tolerance", 1e-10)])
+    def test_from_dict_drops_the_retired_field(self, field, value):
+        config = StreamingConfig(min_train_bins=64, forgetting=0.99)
+        data = dict(config.to_dict(), **{field: value})
+        assert StreamingConfig.from_dict(data) == config
+
+    @pytest.mark.parametrize("field,value", [("engine", "exact"),
+                                             ("rank_slack", 8),
+                                             ("drift_tolerance", 1e-10)])
+    def test_retired_field_is_no_longer_an_option(self, field, value):
+        assert field not in StreamingConfig().to_dict()
+        with pytest.raises(TypeError, match=field):
+            StreamingConfig(**{field: value})
 
 
 class TestAggregatorStateAcrossBoundary:

@@ -126,14 +126,6 @@ class TestHierarchyValidation:
         with pytest.raises(ValueError, match="order-free"):
             HierarchicalNetworkDetector(config, n_pops=2)
 
-    @pytest.mark.parametrize("n_pops", [1, 2])
-    def test_lowrank_engine_is_rejected(self, n_pops):
-        # A low-rank merge truncates at every fold, so a per-PoP run's
-        # events would depend on the split instead of matching the flat run.
-        config = StreamingConfig(engine="lowrank")
-        with pytest.raises(ValueError, match="engine='exact'"):
-            HierarchicalNetworkDetector(config, n_pops=n_pops)
-
     def test_identify_required(self):
         with pytest.raises(ValueError, match="identified OD flows"):
             HierarchicalNetworkDetector(StreamingConfig(identify=False))

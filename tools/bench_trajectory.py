@@ -3,7 +3,7 @@
 trajectory and diff a run against the committed baseline.
 
 The streaming benchmarks (``benchmarks/test_bench_distributed.py``,
-``benchmarks/test_bench_lowrank.py``, ...) each write a JSON artifact under
+``benchmarks/test_bench_live_eval.py``, ...) each write a JSON artifact under
 ``benchmarks/artifacts/``.  This tool folds them into one
 ``BENCH_streaming.json`` at the repo root — the per-PR perf trajectory,
 versioned by git history — and lets CI fail a PR that regresses a tracked
@@ -11,7 +11,7 @@ metric beyond a tolerance:
 
 * ``consolidate`` merges every artifact into the trajectory file (each
   top-level record is keyed by its ``"benchmark"`` name; nested sections,
-  like the two halves of ``bench_lowrank.json``, are flattened with their
+  like the two halves of ``bench_live_eval.json``, are flattened with their
   section key);
 * ``check`` compares the *portable* metrics of the current artifacts
   against the committed baseline: **speedup ratios** (any numeric field
@@ -23,10 +23,7 @@ metric beyond a tolerance:
   ratios are not — and a record whose own ``gate.enforced`` is false
   (the benchmark itself judged this machine un-baselined, e.g.
   ``BENCH_INGEST_NO_GATE`` on a small CI runner) has its speedup ratios
-  skipped too, and so are the ratios a record names in ``gate.ungated``
-  (numbers its bench records for context but does not gate, e.g. the
-  E11 exact engine below ``p`` bins).  Parity recalls are always gated,
-  but a benchmark that
+  skipped too.  Parity recalls are always gated, but a benchmark that
   documents its own looser floor in the record's gate (e.g.
   ``gate.span_recall_floor``) wins over ``baseline - recall_tolerance``:
   the trajectory is a drift tripwire, the bench owns its tolerance.
@@ -179,14 +176,10 @@ def compare(baseline_path: Path, artifact_dir: Path, tolerance: float,
                   f"this machine; speedup ratios recorded, not checked")
         current_speedups = dict(_speedup_metrics(record))
         gate = record.get("gate") if isinstance(record.get("gate"), dict) else {}
-        ungated = set(gate.get("ungated", ()))
         for metric, floor_value in _speedup_metrics(reference):
             value = current_speedups.get(metric)
             floor = floor_value * (1.0 - tolerance)
-            if metric in ungated:
-                row(name, metric, "speedup", floor_value, value, None,
-                    "not gated (recorded)")
-            elif not gate_enforced:
+            if not gate_enforced:
                 row(name, metric, "speedup", floor_value, value, None,
                     "not gated (machine)")
             elif value is None:
