@@ -54,17 +54,31 @@ def trajectory_floor(benchmark_name: str, metric: str, default: float) -> float:
     return default
 
 
-def artifact_path(filename: str) -> Path:
-    """Where a benchmark writes its JSON artifact.
+def write_artifact(request, filename: str, record: dict,
+                   section: str = None) -> Path:
+    """Write *record* as the JSON artifact *filename* and return its path.
 
-    ``benchmarks/artifacts/<filename>`` by default, overridable with
-    ``$BENCH_ARTIFACT_DIR``; ``tools/bench_trajectory.py`` consolidates
-    everything in that directory into the repo-root trajectory.
+    The file lands in ``benchmarks/artifacts/`` (or ``$BENCH_ARTIFACT_DIR``),
+    which ``tools/bench_trajectory.py`` consolidates into the repo-root
+    trajectory.  *request* is the producing test's pytest ``request``; the
+    record names that test as ``"source"`` (``"<module>::<function>"``,
+    module repo-relative), so ``consolidate`` skips the record once the test
+    or its module is deleted.  With *section*, the record becomes that key of
+    a sectioned artifact.
     """
     directory = Path(os.environ.get("BENCH_ARTIFACT_DIR",
                                     Path(__file__).parent / "artifacts"))
     directory.mkdir(parents=True, exist_ok=True)
-    return directory / filename
+    path = directory / filename
+    module = Path(request.node.path).resolve().relative_to(
+        TRAJECTORY_PATH.parent).as_posix()
+    record = dict(record, source=f"{module}::{request.node.originalname}")
+    payload = record
+    if section is not None:
+        payload = json.loads(path.read_text()) if path.is_file() else {}
+        payload[section] = record
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def timed(function, *args):

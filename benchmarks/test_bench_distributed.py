@@ -22,11 +22,10 @@ Every run writes
 ``benchmarks/artifacts/bench_distributed.json`` for the perf trajectory.
 """
 
-import json
 import os
 import statistics
 
-from conftest import artifact_path, best_of, run_once
+from conftest import best_of, run_once, write_artifact
 
 from repro.evaluation import event_parity, report_parity
 from repro.streaming import (
@@ -62,7 +61,7 @@ def _rate_summary(n_bins, seconds):
     return _summary([n_bins / elapsed for elapsed in seconds])
 
 
-def test_hierarchy_matches_single_process(benchmark, week_dataset):
+def test_hierarchy_matches_single_process(benchmark, week_dataset, request):
     """The 2-PoP hierarchy is event- and report-identical to one process."""
     series = week_dataset.series
     config = StreamingConfig(min_train_bins=WARMUP_BINS,
@@ -118,8 +117,7 @@ def test_hierarchy_matches_single_process(benchmark, week_dataset):
     }
     # Written BEFORE any assert: when parity fails, the artifact holding the
     # evidence must still exist (CI uploads it with if: always()).
-    artifact = artifact_path("bench_distributed.json")
-    artifact.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    artifact = write_artifact(request, "bench_distributed.json", record)
 
     benchmark.extra_info.update(
         {k: v for k, v in record.items() if isinstance(v, (int, float))})

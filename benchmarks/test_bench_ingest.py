@@ -21,15 +21,14 @@ that changes the bits is worthless.  Every run writes
 ``benchmarks/artifacts/bench_ingest.json`` for the perf trajectory.
 """
 
-import json
 import os
 
 from conftest import (
     BENCHMARK_SEED,
-    artifact_path,
     best_of,
     run_once,
     trajectory_floor,
+    write_artifact,
 )
 
 from repro.datasets import DatasetConfig, generate_abilene_dataset
@@ -59,7 +58,8 @@ MIN_CORES_FOR_GATE = 4
 PARITY_BINS = 192
 
 
-def test_ingest_outruns_detection_and_round_trips(benchmark, tmp_path):
+def test_ingest_outruns_detection_and_round_trips(benchmark, tmp_path,
+                                                   request):
     """CSV ingest sustains more bins/sec than detection; bits identical."""
     network = abilene_topology()
     dataset = generate_abilene_dataset(DatasetConfig(weeks=1.0 / 7.0),
@@ -147,8 +147,7 @@ def test_ingest_outruns_detection_and_round_trips(benchmark, tmp_path):
     }
     # Written BEFORE any assert: when a gate fails, the artifact holding
     # the evidence must still exist (CI uploads it with if: always()).
-    artifact = artifact_path("bench_ingest.json")
-    artifact.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    artifact = write_artifact(request, "bench_ingest.json", record)
 
     benchmark.extra_info.update(
         {k: v for k, v in record.items() if isinstance(v, (int, float))})

@@ -25,11 +25,10 @@ carry the evidence; ``tools/bench_trajectory.py`` folds it into the
 ``BENCH_streaming.json`` trajectory at the repo root.
 """
 
-import json
 
 import pytest
 
-from conftest import BENCHMARK_SEED, artifact_path, run_once, timed
+from conftest import BENCHMARK_SEED, run_once, timed, write_artifact
 
 from repro.datasets import DatasetConfig, generate_drifting_dataset
 from repro.evaluation import match_events
@@ -67,15 +66,12 @@ def _live_config(**overrides):
                            **overrides)
 
 
-def _write_section(section, record):
-    artifact = artifact_path("bench_live_eval.json")
-    existing = json.loads(artifact.read_text()) if artifact.is_file() else {}
-    existing[section] = record
-    artifact.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
-    return artifact
+def _write_section(request, section, record):
+    return write_artifact(request, "bench_live_eval.json", record,
+                          section=section)
 
 
-def test_live_table_analogues_vs_batch(benchmark, week_dataset):
+def test_live_table_analogues_vs_batch(benchmark, week_dataset, request):
     """The live run reproduces the batch Table 1/3 numbers."""
     batch_time, batch = timed(batch_reference, week_dataset)
     config = _live_config()
@@ -106,7 +102,7 @@ def test_live_table_analogues_vs_batch(benchmark, week_dataset):
             "recall_floor": RECALL_FLOOR,
         },
     }
-    artifact = _write_section("live_vs_batch", record)
+    artifact = _write_section(request, "live_vs_batch", record)
 
     print(f"\nbatch: {batch.total_events} events, detection "
           f"{batch.metrics.detection_rate:.3f}, far "
@@ -145,7 +141,7 @@ def _score(dataset, config):
     }
 
 
-def test_adaptive_limits_on_drifting_week(benchmark, drifting_week):
+def test_adaptive_limits_on_drifting_week(benchmark, drifting_week, request):
     """Adaptive quantile thresholds beat fixed limits under drift."""
     day_half_life = forgetting_from_half_life(288)
     scenarios = {
@@ -174,7 +170,7 @@ def test_adaptive_limits_on_drifting_week(benchmark, drifting_week):
         "scenarios": results,
         "gate": {"max_recall_drop": MAX_RECALL_DROP},
     }
-    artifact = _write_section("adaptive_limits", record)
+    artifact = _write_section(request, "adaptive_limits", record)
 
     for name, scores in results.items():
         fixed, adaptive = scores["fixed"], scores["adaptive"]

@@ -24,10 +24,9 @@ noisy shared machines); the bit-identical-events check always runs.
 """
 
 import dataclasses
-import json
 import os
 
-from conftest import artifact_path, best_of, run_once
+from conftest import best_of, run_once, write_artifact
 
 from repro.core import SubspaceDetector
 from repro.core.events import count_by_label
@@ -136,7 +135,8 @@ def test_streaming_speedup_over_full_refit(benchmark, week_dataset):
         0.25 * max(streaming_detections, naive_detections)
 
 
-def test_streaming_telemetry_overhead(benchmark, week_dataset, tmp_path):
+def test_streaming_telemetry_overhead(benchmark, week_dataset, tmp_path,
+                                      request):
     """Instrumented pipeline: <= 10% overhead, bit-identical events."""
     series = week_dataset.series
     disabled_config = StreamingConfig(min_train_bins=128,
@@ -210,8 +210,7 @@ def test_streaming_telemetry_overhead(benchmark, week_dataset, tmp_path):
     }
     # Written BEFORE any assert: when a gate fails, the artifact holding the
     # evidence must still exist (CI uploads it with if: always()).
-    artifact = artifact_path("bench_telemetry.json")
-    artifact.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    artifact = write_artifact(request, "bench_telemetry.json", record)
 
     benchmark.extra_info.update(
         {k: v for k, v in record.items() if isinstance(v, (int, float))})

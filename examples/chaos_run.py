@@ -2,7 +2,8 @@
 """Chaos demo: seeded faults against the fault-tolerant runtime.
 
 Three recovery paths, each ending in exact parity with an undisturbed
-run (the invariants ``tests/test_chaos.py`` enforces in CI):
+run (the invariants ``tests/test_chaos.py`` and the fault cells of
+``tests/test_driver_oracle.py`` enforce in CI):
 
 1. the :class:`~repro.service.DetectionService` **crashes** mid-stream,
    between two periodic checkpoints, and a fresh service on the same

@@ -14,8 +14,10 @@ every primitive here is deterministic under a fixed seed:
   raises, exercising the dispatcher's retry/dead-letter path.
 
 A killed process needs no primitive: ``tests/test_chaos.py`` SIGKILLs the
-service CLI and restarts it from its checkpoint chain.  The CI ``chaos``
-job runs every case with fixed seeds on every push.
+service CLI and restarts it from its checkpoint chain, and the fault cells
+of ``tests/test_driver_oracle.py`` (``service_corrupt``, ``leaf_outage``,
+...) prove the parity claims in process.  The CI ``chaos`` job runs every
+case with fixed seeds on every push.
 """
 
 from repro.faults.corrupt import corrupt_checkpoint

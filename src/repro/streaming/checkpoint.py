@@ -21,8 +21,9 @@ A checkpoint is a directory holding a small family of files:
 Because the whole numerical trajectory is restored exactly, a detector
 restored mid-stream and fed the remaining chunks emits the **identical**
 remaining event list an uninterrupted run would have produced — the
-restart-parity guarantee enforced by ``tests/test_streaming_checkpoint.py``
-and extended to torn-write recovery by ``tests/test_chaos.py``.
+restart-parity guarantee enforced by the ``checkpoint_restart`` and
+``service_*`` cells of ``tests/test_driver_oracle.py`` (the latter also
+through torn-write recovery).
 
 Usage::
 

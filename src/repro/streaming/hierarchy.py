@@ -20,7 +20,8 @@ cadence, detection, identification, event fusion, warm-up and runtime
 accounting, telemetry, the ``on_events`` hook and ``finish()`` — is the
 flat detector's own chunk loop, so a hierarchical run over the identical
 chunk sequence emits the identical report (``forgetting = 1`` makes the
-merge order-free; enforced by ``tests/test_streaming_hierarchy.py``).
+merge order-free; enforced by the hierarchy cells of
+``tests/test_driver_oracle.py``).
 
 What is hierarchical is the bookkeeping around that loop: routing chunks
 to PoPs, the watermark deadline that quarantines a silent PoP (its
@@ -98,6 +99,12 @@ class _MergedEngine:
                                       [engine for _, engine in engines])
             self._cache_key = key
         return self._cached
+
+    @property
+    def n_features(self) -> Optional[int]:
+        """OD-flow count of the first PoP that ingested (quarantined or not)."""
+        return next((engine.n_features for engine in self._engines
+                     if engine.n_features is not None), None)
 
     @property
     def n_bins_seen(self) -> int:

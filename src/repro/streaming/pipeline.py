@@ -209,9 +209,6 @@ class StreamingNetworkDetector:
             _dedup_types(traffic_types) if traffic_types is not None else None
         )
         self._detectors: Dict[TrafficType, StreamingSubspaceDetector] = {}
-        # OD-flow column count established by the first chunk; later chunks
-        # disagreeing with it are malformed (on_bad_chunk policy applies).
-        self._n_features: Optional[int] = None
         self._aggregator = OnlineEventAggregator()
         self._report = StreamingReport()
         self._finished = False
@@ -284,25 +281,40 @@ class StreamingNetworkDetector:
             self._detectors[traffic_type] = detector
         return detector
 
+    def _n_features(self) -> Optional[int]:
+        """The stream's OD-flow count, ``None`` before any chunk is accepted.
+
+        Read from the per-type moment engines, which learn it from the
+        first accepted chunk and carry it through checkpoints — so neither
+        a rejected chunk nor a restore can change it.
+        """
+        return next((detector.engine.n_features
+                     for detector in self._detectors.values()
+                     if detector.engine.n_features is not None), None)
+
     def _chunk_error(self, chunk: TrafficChunk) -> Optional[str]:
         """Describe what is malformed about *chunk*, or ``None`` if clean.
 
         Checks every traffic type's matrix for non-finite values and for a
-        column count disagreeing with the stream's established OD-flow
-        dimension (learned from the first chunk).
+        column count disagreeing with the stream's OD-flow dimension (or,
+        before any chunk was accepted, with the chunk's first matrix).
+        Neither the width nor the traffic types are pinned here: both come
+        from the first *accepted* chunk.
         """
-        for traffic_type in self._types_for(chunk):
+        expected = self._n_features()
+        types = self._types if self._types is not None else chunk.traffic_types
+        for traffic_type in types:
             matrix = np.asarray(chunk.matrix(traffic_type))
             if matrix.ndim != 2:
                 return (f"chunk at bin {chunk.start_bin}: "
                         f"{traffic_type.value} matrix is "
                         f"{matrix.ndim}-dimensional, expected 2")
-            if self._n_features is None:
-                self._n_features = int(matrix.shape[1])
-            elif matrix.shape[1] != self._n_features:
+            if expected is None:
+                expected = int(matrix.shape[1])
+            elif matrix.shape[1] != expected:
                 return (f"chunk at bin {chunk.start_bin}: "
                         f"{traffic_type.value} matrix has {matrix.shape[1]} "
-                        f"columns, expected {self._n_features} OD flows")
+                        f"columns, expected {expected} OD flows")
             if not np.isfinite(matrix).all():
                 n_bad = int(matrix.size - np.isfinite(matrix).sum())
                 return (f"chunk at bin {chunk.start_bin}: "

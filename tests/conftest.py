@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import DatasetConfig, generate_abilene_dataset
-from repro.topology import abilene_topology, random_backbone
+from repro.topology import abilene_topology
 from repro.traffic import ODTrafficGenerator
 from repro.utils.timebins import TimeBinning
 
@@ -19,11 +19,6 @@ from repro.utils.timebins import TimeBinning
 def abilene():
     """The 11-PoP Abilene topology."""
     return abilene_topology()
-
-@pytest.fixture(scope="session")
-def small_network():
-    """A small random backbone (5 PoPs) for topology-agnostic tests."""
-    return random_backbone(5, seed=42)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,6 @@ from repro.core.limits import ControlLimits
 from repro.streaming import (
     AdaptiveControlLimits,
     StreamingConfig,
-    StreamingNetworkDetector,
     StreamingSubspaceDetector,
     chunk_series,
     make_limits_policy,
@@ -221,8 +220,10 @@ class TestZeroDriftReduction:
 
 
 class TestCheckpointRestartParity:
-    """A restored adaptive-limits detector emits the identical remaining
-    event list (the tentpole's restart-parity guarantee)."""
+    """A restored adaptive-limits detector restores its policy state bit for
+    bit and emits the identical remaining events: the restart cells of the
+    ``drifting_week`` corpus in ``tests/test_driver_oracle.py``.  Here: a
+    checkpoint whose policy state disagrees with the config is refused."""
 
     CHUNK = 48
 
@@ -232,54 +233,6 @@ class TestCheckpointRestartParity:
                                limits="adaptive", adaptive_warmup_bins=32,
                                adaptive_block_bins=16,
                                adaptive_max_drift=0.2)
-
-    @pytest.fixture(scope="class")
-    def uninterrupted(self, small_dataset, adaptive_config):
-        return stream_detect(chunk_series(small_dataset.series, self.CHUNK),
-                             adaptive_config)
-
-    @pytest.mark.parametrize("split", [3, 7])
-    def test_restart_emits_identical_remaining_events(
-            self, small_dataset, adaptive_config, uninterrupted, tmp_path,
-            split):
-        chunks = list(chunk_series(small_dataset.series, self.CHUNK))
-        detector = StreamingNetworkDetector(adaptive_config)
-        for chunk in chunks[:split]:
-            detector.process_chunk(chunk)
-        detector.save(tmp_path / "ckpt")
-
-        restored = StreamingNetworkDetector.restore(tmp_path / "ckpt")
-        for chunk in chunks[split:]:
-            restored.process_chunk(chunk)
-        report = restored.finish()
-        assert report.events == uninterrupted.events
-        # Wall-clock throughput legitimately differs between the two runs;
-        # everything else must match exactly.
-        wall_clock = {"runtime_seconds", "bins_per_second"}
-        restarted_dict = {k: v for k, v in report.to_dict().items()
-                          if k not in wall_clock}
-        uninterrupted_dict = {k: v for k, v in uninterrupted.to_dict().items()
-                              if k not in wall_clock}
-        assert restarted_dict == uninterrupted_dict
-
-    def test_policy_state_survives_the_checkpoint(self, small_dataset,
-                                                  adaptive_config, tmp_path):
-        chunks = list(chunk_series(small_dataset.series, self.CHUNK))
-        detector = StreamingNetworkDetector(adaptive_config)
-        for chunk in chunks[:6]:
-            detector.process_chunk(chunk)
-        detector.save(tmp_path / "ckpt")
-        restored = StreamingNetworkDetector.restore(tmp_path / "ckpt")
-        for traffic_type in small_dataset.series.traffic_types:
-            original = detector.detector(traffic_type).limits_policy
-            twin = restored.detector(traffic_type).limits_policy
-            assert twin is not None
-            assert twin.scales == original.scales
-            assert twin.n_clean_bins == original.n_clean_bins
-            assert twin.n_frozen_bins == original.n_frozen_bins
-            original_arrays = original.state_dict()["arrays"]
-            for key, value in twin.state_dict()["arrays"].items():
-                np.testing.assert_array_equal(value, original_arrays[key])
 
     def test_mismatched_policy_state_is_rejected(self, small_dataset,
                                                  adaptive_config):

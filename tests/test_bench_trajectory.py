@@ -21,6 +21,8 @@ _TOOL_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_trajector
 _spec = importlib.util.spec_from_file_location("bench_trajectory", _TOOL_PATH)
 bench_trajectory = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_trajectory)
+#: A producing test that exists, as the benchmarks' write_artifact stamps it.
+SOURCE = "tests/test_bench_trajectory.py::test_cli_consolidate"
 
 
 def _write(path: Path, payload) -> Path:
@@ -33,7 +35,7 @@ def artifact_dir(tmp_path):
     directory = tmp_path / "artifacts"
     directory.mkdir()
     _write(directory / "bench_flat.json", {
-        "benchmark": "bench_flat",
+        "benchmark": "bench_flat", "source": SOURCE,
         "baseline_bins_per_sec": 4000.0,
         "parallel_speedup_vs_baseline": 2.0,
         "parity": {"recall": 1.0, "span_recall": 0.95, "exact": True,
@@ -42,12 +44,12 @@ def artifact_dir(tmp_path):
     })
     _write(directory / "bench_sectioned.json", {
         "recalibration": {
-            "benchmark": "bench_recal",
+            "benchmark": "bench_recal", "source": SOURCE,
             "recal_speedup": 50.0,
             "gate": {"min_speedup": 5.0},
         },
         "parity_section": {
-            "benchmark": "bench_parity",
+            "benchmark": "bench_parity", "source": SOURCE,
             "parity": {"hierarchical": {"recall": 1.0, "span_recall": 1.0},
                        "parallel": {"recall": 0.9}},
         },
@@ -80,6 +82,32 @@ class TestConsolidate:
                                               "bench_parity"}
         assert (payload["benchmarks"]["bench_flat"]
                 ["parallel_speedup_vs_baseline"]) == 2.5
+
+    def test_stale_artifacts_are_skipped_with_a_note(self, artifact_dir,
+                                                     tmp_path, capsys):
+        # Left behind by a deleted benchmark module, by a deleted test whose
+        # module lives on (a section of a shared artifact), or written
+        # before records named their test: none may re-enter the trajectory.
+        _write(artifact_dir / "bench_gone.json", {
+            "benchmark": "bench_gone", "gone_speedup": 3.0,
+            "source": "benchmarks/test_bench_gone.py::test_gone"})
+        sectioned = json.loads((artifact_dir / "bench_sectioned.json")
+                               .read_text())
+        sectioned["deleted_arm"] = {
+            "benchmark": "bench_deleted_arm", "arm_speedup": 4.0,
+            "source": "tests/test_bench_trajectory.py::test_deleted_arm"}
+        _write(artifact_dir / "bench_sectioned.json", sectioned)
+        _write(artifact_dir / "bench_old.json",
+               {"benchmark": "bench_old", "old_speedup": 2.0})
+        payload = bench_trajectory.consolidate(artifact_dir,
+                                               tmp_path / "BENCH.json")
+        assert set(payload["benchmarks"]) == {"bench_flat", "bench_recal",
+                                              "bench_parity"}
+        gone, old, arm = capsys.readouterr().err.splitlines()
+        assert all(line.startswith("STALE:") for line in (gone, old, arm))
+        assert "test_bench_gone.py::test_gone no longer exists" in gone
+        assert "test_bench_trajectory.py::test_deleted_arm no longer" in arm
+        assert "names no producing test" in old
 
     def test_cli_consolidate(self, artifact_dir, tmp_path, capsys):
         output = tmp_path / "BENCH.json"

@@ -2,8 +2,9 @@
 
 One feed shape for every driver: protocol conformance across all source
 implementations, the ``as_chunk_source`` adapter, suffix-replay resume
-semantics, the rejection of the retired pre-protocol feed shapes, and the
-DetectionService auto-resume that the protocol makes possible.
+semantics and the rejection of the retired pre-protocol feed shapes.  The
+``DetectionService`` auto-resume the protocol makes possible is the
+``service_sigterm`` driver of ``tests/test_driver_oracle.py``.
 """
 
 import numpy as np
@@ -11,8 +12,6 @@ import pytest
 
 from repro.datasets.streaming import SyntheticChunkSource, synthetic_chunk_stream
 from repro.datasets.synthetic import DatasetConfig
-from repro.service import DetectionService
-from repro.service.store import EventStore
 from repro.streaming import (
     ChunkSource,
     ChunkedSeriesSource,
@@ -86,10 +85,14 @@ class TestProtocol:
 class TestResume:
     def test_series_source_resume_reproduces_the_suffix(self, clean_series):
         full = list(ChunkedSeriesSource(clean_series, CHUNK))
-        resumed = list(ChunkedSeriesSource(clean_series, CHUNK).resume(64))
-        assert len(resumed) == len(full) - 2
-        for a, b in zip(resumed, full[2:]):
-            assert _chunks_equal(a, b)
+        source = ChunkedSeriesSource(clean_series, CHUNK).resume(64)
+        assert source.start_bin == 64
+        for resumed in (list(source), list(source)):  # re-iterable
+            assert len(resumed) == len(full) - 2
+            assert all(_chunks_equal(a, b)
+                       for a, b in zip(resumed, full[2:]))
+        with pytest.raises(ValueError):
+            ChunkedSeriesSource(clean_series, CHUNK).resume(-1)
 
     def test_synthetic_source_resume_reproduces_the_suffix(self):
         source = SyntheticChunkSource(
@@ -133,42 +136,3 @@ class TestDeprecatedShapes:
         with pytest.raises(TypeError):
             synthetic_chunk_stream(chunk_size=CHUNK, max_blocks=2,
                                    start_block=1)
-
-class TestServiceAutoResume:
-    def test_restarted_service_positions_a_resumable_source(
-            self, clean_series, tmp_path):
-        source = ChunkedSeriesSource(clean_series, CHUNK)
-        chunks = list(source)
-
-        reference = DetectionService(CONFIG)
-        reference.run(source)
-        expected_digest = reference.store.table_digest()
-        reference.close()
-
-        store_path = str(tmp_path / "events.sqlite")
-        checkpoint_dir = str(tmp_path / "ckpt")
-
-        first = DetectionService(CONFIG, store=EventStore(store_path),
-                                 checkpoint_dir=checkpoint_dir)
-
-        def stopping(feed, after):
-            for index, chunk in enumerate(feed, start=1):
-                yield chunk
-                if index == after:
-                    first.request_stop()
-
-        # The stop request lands while chunk 4 is in flight; that chunk is
-        # finished, not dropped, before the loop exits.
-        result = first.run(stopping(iter(chunks), 3))
-        assert result.interrupted
-        assert first.resume_bin == 4 * CHUNK
-        first.close()
-
-        # The restarted service gets the FULL stream and positions the
-        # resumable source itself — callers no longer slice suffixes.
-        second = DetectionService(CONFIG, store=EventStore(store_path),
-                                  checkpoint_dir=checkpoint_dir)
-        assert second.resume_bin == 4 * CHUNK
-        second.run(ChunkedSeriesSource(clean_series, CHUNK))
-        assert second.store.table_digest() == expected_digest
-        second.close()

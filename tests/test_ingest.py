@@ -85,15 +85,6 @@ class TestExportRoundTrip:
         assert stats.header_rows == 2
         assert sum(b.n_records for b in batches) == stats.records
 
-    def test_dotted_quad_addresses_parse_to_integers(self, tmp_path):
-        path = tmp_path / "dotted.csv"
-        path.write_text(",".join(FLOW_CSV_COLUMNS) + "\n"
-                        "10.0.0.1,192.168.0.1,1,2,6,0,1,10,1,r1\n")
-        (batch,), stats = _read_all(str(path))
-        assert batch.src_addr[0] == 167772161
-        assert batch.dst_addr[0] == 3232235521
-        assert stats.records == 1
-
 
 class TestDirtyDataPolicies:
     def test_skip_counts_every_kind_of_dirt(self):

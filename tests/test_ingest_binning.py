@@ -93,40 +93,6 @@ def _stacked(chunks, traffic_type):
 
 
 class TestByteParity:
-    def test_binner_matches_flow_aggregator_bitwise(
-            self, window_records, resolver, od_pairs):
-        window, records = window_records
-        binning = window.binning
-
-        resolved, _ = resolver.resolve_records(records)
-        direct = aggregate_records(resolved, od_pairs, binning)
-
-        # Synthesized records are not time-sorted across batch slices, so
-        # keep the whole window open: no record may be dropped as late.
-        binner = FlowRecordBinner(
-            resolver, od_pairs, chunk_size=32,
-            bin_seconds=binning.bin_seconds,
-            start_seconds=binning.start_seconds,
-            n_bins=binning.n_bins,
-            lateness_bins=binning.n_bins)
-        chunks = []
-        for start in range(0, len(records), 700):
-            chunks.extend(binner.add_batch(
-                _batch_from_records(records[start:start + 700])))
-        chunks.extend(binner.finish())
-
-        assert binner.stats.records == len(records)
-        assert binner.stats.binned == len(resolved)
-        assert chunks[0].start_bin == 0
-        assert [c.start_bin for c in chunks] \
-            == [32 * i for i in range(len(chunks))]
-        for traffic_type in (TrafficType.BYTES, TrafficType.PACKETS,
-                             TrafficType.FLOWS):
-            ingested = _stacked(chunks, traffic_type)
-            expected = direct.matrix(traffic_type)
-            # Bitwise, not allclose: the whole point of the plane.
-            assert np.array_equal(ingested, expected), traffic_type
-
     def test_batch_size_does_not_change_the_bits(
             self, window_records, resolver, od_pairs):
         window, records = window_records

@@ -8,7 +8,8 @@ cannot separate the block (rank ≤ b, p ≤ b, an all-zero covariance) it
 must take the ``eigh`` path itself, and a block that misses its tolerance
 must fall back to ``eigh`` *and be counted*.  Because the start block is
 seeded, the axes are a pure function of the covariance, so a detector
-restored from a checkpoint recalibrates to bitwise the same snapshot.
+restored from a checkpoint recalibrates to bitwise the same snapshot (the
+restart cells of ``tests/test_driver_oracle.py`` check it).
 """
 
 import dataclasses
@@ -17,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.datasets import DatasetConfig, generate_abilene_dataset
-from repro.service import AlertDispatcher, DetectionService, EventStore
 from repro.streaming import (
     OnlinePCA,
     StreamingConfig,
@@ -238,62 +238,3 @@ def test_fallbacks_reach_the_registry(wide_series, wide_config, monkeypatch):
         capped.process_chunk(chunk)
     snapshot = HealthSnapshot.from_registry(capped.telemetry.registry)
     assert snapshot.eigen_fallbacks == snapshot.recalibrations > 0
-
-
-def test_restored_detector_recalibrates_bitwise(wide_series, wide_config,
-                                                tmp_path):
-    chunks = list(chunk_series(wide_series, CHUNK))
-    cut = len(chunks) // 2
-    whole = StreamingNetworkDetector(wide_config)
-    for chunk in chunks:
-        whole.process_chunk(chunk)
-    first = StreamingNetworkDetector(wide_config)
-    for chunk in chunks[:cut]:
-        first.process_chunk(chunk)
-    first.save(tmp_path / "ckpt")
-    restored = StreamingNetworkDetector.restore(tmp_path / "ckpt")
-    for chunk in chunks[cut:]:
-        restored.process_chunk(chunk)
-    for traffic_type in wide_series.traffic_types:
-        ours = restored.detector(traffic_type).snapshot
-        theirs = whole.detector(traffic_type).snapshot
-        assert ours.n_bins_trained == theirs.n_bins_trained
-        np.testing.assert_array_equal(ours.normal_axes, theirs.normal_axes)
-        np.testing.assert_array_equal(ours.eigenvalues, theirs.eigenvalues)
-        assert restored.detector(traffic_type).engine.eigen_fallbacks == 0
-
-
-def test_service_restart_parity(wide_series, wide_config, tmp_path):
-    chunks = list(chunk_series(wide_series, CHUNK))
-
-    def service(name):
-        store = EventStore(tmp_path / f"{name}.sqlite")
-        return DetectionService(
-            wide_config, store=store, dispatcher=AlertDispatcher([]),
-            checkpoint_dir=tmp_path / f"{name}-ckpt",
-            checkpoint_every_chunks=2), store
-
-    reference, reference_store = service("reference")
-    reference.run(iter(chunks))
-    assert reference_store.count() > 0
-    digest = reference_store.table_digest()
-    reference.close()
-
-    class Crash(RuntimeError):
-        pass
-
-    def crashing(after):
-        for index, chunk in enumerate(chunks, start=1):
-            yield chunk
-            if index == after:
-                raise Crash("simulated power loss")
-
-    first, store = service("run")
-    with pytest.raises(Crash):
-        first.run(crashing(5))
-    store.close()
-    resumed, reopened = service("run")
-    assert 0 < resumed.resume_bin < chunks[-1].start_bin
-    resumed.run(c for c in chunks if c.start_bin >= resumed.resume_bin)
-    assert reopened.table_digest() == digest
-    resumed.close()

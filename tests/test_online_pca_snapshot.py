@@ -4,20 +4,19 @@ While an engine holds fewer bins than it has OD flows it keeps the bins and
 recalibrates through their ``n x n`` Gram matrix.  That must give the
 spectrum (to ``1e-12·λ₁``) and the top-k subspace of the covariance it
 stands for; the chunk that reaches ``p`` bins must leave the engine bitwise
-where the scatter path would have put it; a checkpoint taken in snapshot
-mode must restore and recalibrate bitwise; the hierarchy and a restarted
-service must keep their parity; and checkpoints written before the mode
-existed (scatter only) must still load.
+where the scatter path would have put it; an engine checkpointed in
+snapshot mode must restore and recalibrate bitwise; and checkpoints
+written before the mode existed (scatter only) must still load.  Detector,
+hierarchy and service parity on a day that never reaches p bins is the
+``snapshot_p324`` corpus of ``tests/test_driver_oracle.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.datasets import DatasetConfig, generate_abilene_dataset
-from repro.evaluation import event_parity, report_parity
-from repro.service import AlertDispatcher, DetectionService, EventStore
+from repro.evaluation import event_parity
 from repro.streaming import (
-    HierarchicalNetworkDetector,
     OnlinePCA,
     StreamingConfig,
     StreamingNetworkDetector,
@@ -275,30 +274,6 @@ def short_config():
     return StreamingConfig(min_train_bins=96, recalibrate_every_bins=32)
 
 
-def test_snapshot_checkpoint_recalibrates_bitwise(short_series, short_config,
-                                                  tmp_path):
-    chunks = list(chunk_series(short_series, CHUNK))
-    whole = StreamingNetworkDetector(short_config)
-    first = StreamingNetworkDetector(short_config)
-    for chunk in chunks[:4]:
-        whole.process_chunk(chunk)
-        first.process_chunk(chunk)
-    first.save(tmp_path / "ckpt")
-    restored = StreamingNetworkDetector.restore(tmp_path / "ckpt")
-    for chunk in chunks[4:]:
-        whole.process_chunk(chunk)
-        restored.process_chunk(chunk)
-        for traffic_type in short_series.traffic_types:
-            ours = restored.detector(traffic_type)
-            theirs = whole.detector(traffic_type)
-            assert ours.engine.holds_bins
-            np.testing.assert_array_equal(ours.snapshot.normal_axes,
-                                          theirs.snapshot.normal_axes)
-            np.testing.assert_array_equal(ours.snapshot.eigenvalues,
-                                          theirs.snapshot.eigenvalues)
-    assert report_parity(whole.finish(), restored.finish())["equal"]["events"]
-
-
 def test_old_scatter_detector_checkpoint_finishes_identically(
         short_series, short_config):
     chunks = list(chunk_series(short_series, CHUNK))
@@ -321,53 +296,3 @@ def test_old_scatter_detector_checkpoint_finishes_identically(
         old.process_chunk(chunk)
     parity = event_parity(whole.events, old.finish().events)
     assert parity.exact, parity.to_dict()
-
-
-def test_two_pop_hierarchy_matches_flat_below_p(short_series, short_config):
-    chunks = list(chunk_series(short_series, CHUNK))
-    flat = stream_detect(iter(chunks), short_config)
-    hierarchy = HierarchicalNetworkDetector(short_config, n_pops=2)
-    for chunk in chunks:
-        hierarchy.process_chunk(chunk)
-    for traffic_type in short_series.traffic_types:
-        assert hierarchy.detector(traffic_type).engine.merged().holds_bins
-    report = hierarchy.finish()
-    assert flat.n_events > 0
-    full = report_parity(flat, report)
-    assert all(full["equal"].values()), full["equal"]
-
-
-def test_service_restart_parity_below_p(short_series, short_config, tmp_path):
-    chunks = list(chunk_series(short_series, CHUNK))
-
-    def service(name):
-        store = EventStore(tmp_path / f"{name}.sqlite")
-        return DetectionService(
-            short_config, store=store, dispatcher=AlertDispatcher([]),
-            checkpoint_dir=tmp_path / f"{name}-ckpt",
-            checkpoint_every_chunks=2), store
-
-    reference, reference_store = service("reference")
-    reference.run(iter(chunks))
-    assert reference_store.count() > 0
-    digest = reference_store.table_digest()
-    reference.close()
-
-    class Crash(RuntimeError):
-        pass
-
-    def crashing(after):
-        for index, chunk in enumerate(chunks, start=1):
-            yield chunk
-            if index == after:
-                raise Crash("simulated power loss")
-
-    first, store = service("run")
-    with pytest.raises(Crash):
-        first.run(crashing(7))
-    store.close()
-    resumed, reopened = service("run")
-    assert 0 < resumed.resume_bin < chunks[-1].start_bin
-    resumed.run(c for c in chunks if c.start_bin >= resumed.resume_bin)
-    assert reopened.table_digest() == digest
-    resumed.close()

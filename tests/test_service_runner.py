@@ -1,9 +1,10 @@
-"""Detection-service tests: graceful SIGTERM, restart parity, alert dedup.
+"""Detection-service tests: the run loop's contracts and the CLI.
 
-The acceptance property of the service layer: a run SIGTERMed mid-stream
-and restarted from its checkpoint must end with the **byte-identical**
-event table an uninterrupted run over the Abilene week produces — and must
-never alert twice for the same event across the restart.
+Restart parity — a run SIGTERMed, crashed between periodic checkpoints or
+restored through a torn checkpoint generation ends with the
+**byte-identical** event table of an uninterrupted run and never alerts
+twice — is proven by the ``service_*`` drivers of the driver oracle
+(``tests/test_driver_oracle.py``).
 """
 
 import json
@@ -48,10 +49,6 @@ class ListSink(AlertSink):
     def emit(self, payload):
         self.payloads.append(payload)
 
-    @property
-    def keys(self):
-        return [p["key"] for p in self.payloads]
-
 
 def _service(config, tmp_path, name="run", checkpoint=True, **kwargs):
     sink = ListSink()
@@ -66,25 +63,6 @@ def _service(config, tmp_path, name="run", checkpoint=True, **kwargs):
     return service, store, sink
 
 
-@pytest.fixture(scope="module")
-def reference(service_config, week_chunks, tmp_path_factory):
-    """Uninterrupted run over the week: digest, rows, and alert keys."""
-    tmp_path = tmp_path_factory.mktemp("reference")
-    service, store, sink = _service(service_config, tmp_path,
-                                    checkpoint=False)
-    result = service.run(iter(week_chunks))
-    assert not result.interrupted
-    assert result.events_stored > 0
-    reference = {
-        "digest": store.table_digest(),
-        "rows": store.canonical_rows(),
-        "alert_keys": list(sink.keys),
-        "n_events": store.count(),
-    }
-    service.close()
-    return reference
-
-
 def _sigterm_after(chunks, n_chunks):
     """Yield chunks, raising a real SIGTERM in-process after the n-th."""
     for index, chunk in enumerate(chunks, start=1):
@@ -94,84 +72,6 @@ def _sigterm_after(chunks, n_chunks):
 
 
 class TestGracefulRestart:
-    def test_sigterm_then_restart_is_byte_identical(
-            self, service_config, week_chunks, reference, tmp_path):
-        # --- first run: SIGTERM lands mid-stream --------------------- #
-        service, store, sink = _service(service_config, tmp_path)
-        service.install_signal_handlers()
-        result = service.run(_sigterm_after(iter(week_chunks), 18))
-        assert result.interrupted
-        # The signal landed while chunk 19 was in flight: that chunk was
-        # finished — not dropped — before the loop stopped.
-        assert service.resume_bin == 19 * CHUNK
-        assert store.count() < reference["n_events"]
-        first_keys = list(sink.keys)
-        store.close()
-
-        # --- restart: resume from the checkpoint, feed the suffix ---- #
-        resumed, reopened, resumed_sink = _service(service_config, tmp_path)
-        assert resumed.resume_bin == 19 * CHUNK
-        suffix = (c for c in week_chunks if c.start_bin >= resumed.resume_bin)
-        final = resumed.run(suffix)
-        assert not final.interrupted
-
-        # Byte-identical event table, exactly as if never interrupted.
-        assert reopened.canonical_rows() == reference["rows"]
-        assert reopened.table_digest() == reference["digest"]
-        # Never re-paged: the two runs' alerts partition the reference set.
-        assert not set(first_keys) & set(resumed_sink.keys)
-        assert sorted(first_keys + resumed_sink.keys) \
-            == sorted(reference["alert_keys"])
-        resumed.close()
-
-    def test_restart_fed_the_full_plain_iterable(
-            self, service_config, week_chunks, reference, tmp_path):
-        service, store, _ = _service(service_config, tmp_path)
-        service.install_signal_handlers()
-        assert service.run(_sigterm_after(iter(week_chunks), 18)).interrupted
-        store.close()
-
-        # The restarted service skips the already-processed prefix of a
-        # plain iterable itself, as it does for a replayable source.
-        resumed, reopened, _ = _service(service_config, tmp_path)
-        assert resumed.resume_bin == 19 * CHUNK
-        final = resumed.run(iter(week_chunks))
-        assert not final.interrupted
-        assert reopened.table_digest() == reference["digest"]
-        resumed.close()
-
-    def test_crash_replay_is_absorbed(self, service_config, week_chunks,
-                                      reference, tmp_path):
-        """A hard crash (no graceful checkpoint) replays chunks since the
-        last periodic checkpoint; the idempotent store absorbs them."""
-        service, store, _ = _service(service_config, tmp_path,
-                                     checkpoint_every_chunks=4)
-
-        class Crash(RuntimeError):
-            pass
-
-        def crashing(chunks, after):
-            for index, chunk in enumerate(chunks, start=1):
-                yield chunk
-                if index == after:
-                    raise Crash("simulated power loss")
-
-        with pytest.raises(Crash):
-            service.run(crashing(iter(week_chunks), 23))
-        store.close()
-
-        # Restart resumes at the periodic checkpoint (chunk 20), replaying
-        # chunks 21-23 whose events are already stored.
-        resumed, reopened, resumed_sink = _service(service_config, tmp_path)
-        assert resumed.resume_bin == 20 * CHUNK
-        suffix = (c for c in week_chunks if c.start_bin >= resumed.resume_bin)
-        final = resumed.run(suffix)
-        assert final.events_duplicate > 0  # the replay really happened
-        assert reopened.table_digest() == reference["digest"]
-        # Replayed events were already alerted before the crash.
-        assert len(set(resumed_sink.keys)) == len(resumed_sink.keys)
-        resumed.close()
-
     def test_restored_finished_run_is_a_noop(self, service_config,
                                              week_chunks, tmp_path):
         service, store, _ = _service(service_config, tmp_path)
@@ -238,18 +138,6 @@ class TestRunLoopContracts:
         with pytest.raises(ValueError, match=">= 1"):
             DetectionService(service_config, checkpoint_dir="somewhere",
                              checkpoint_every_chunks=0)
-
-    def test_events_flow_through_pipeline_hook(self, service_config,
-                                               week_chunks, tmp_path):
-        """Everything the pipeline reports — including the end-of-stream
-        tail — lands in the store via the on_events hand-off."""
-        service, store, sink = _service(service_config, tmp_path,
-                                        checkpoint=False)
-        result = service.run(iter(week_chunks))
-        stored_keys = {e.event_key for e in store.query()}
-        assert len(stored_keys) == result.report.n_events
-        assert sorted(sink.keys) == sorted(stored_keys)
-        service.close()
 
 
 class TestServiceCli:

@@ -1,5 +1,6 @@
 """Tests for the streaming subsystem: online PCA, chunked detection,
-incremental aggregation, sources, and the batch-parity guarantees."""
+incremental aggregation and sources.  Replay-vs-batch event parity is the
+``replay`` driver of ``tests/test_driver_oracle.py``."""
 
 import itertools
 import os
@@ -13,8 +14,8 @@ from repro.core import SubspaceDetector, aggregate_detections, detect_network_an
 from repro.core.events import Detection
 from repro.core.identification import identify_spe_flows
 from repro.core.pca import EigenflowDecomposition
-from repro.datasets import (DatasetConfig, SyntheticChunkSource,
-                            generate_abilene_dataset, synthetic_chunk_stream)
+from repro.datasets import (DatasetConfig, generate_abilene_dataset,
+                            synthetic_chunk_stream)
 from repro.evaluation import event_parity
 from repro.flows.timeseries import TrafficType
 from repro.streaming import (
@@ -124,24 +125,6 @@ class TestStreamingDetectorParity:
             assert result.limits.spe == pytest.approx(batch.spe_threshold, rel=1e-6)
             assert result.limits.t2 == pytest.approx(batch.t2_threshold, rel=1e-9)
 
-    def test_chunked_replay_recovers_batch_events(self, quickstart_dataset):
-        series = quickstart_dataset.series
-        batch = detect_network_anomalies(series)
-        replay = replay_network_anomalies(series, chunk_size=64)
-        assert replay.events == batch.events
-        assert replay.detections == batch.detections
-        parity = event_parity(batch.events, replay.events)
-        assert parity.exact
-        assert parity.recall == 1.0
-
-    def test_replay_parity_independent_of_chunk_size(self, quickstart_dataset):
-        series = quickstart_dataset.series
-        batch = detect_network_anomalies(series, traffic_types=[TrafficType.BYTES])
-        for chunk_size in (7, 100, 576, 1000):
-            replay = replay_network_anomalies(series, chunk_size=chunk_size,
-                                              traffic_types=[TrafficType.BYTES])
-            assert replay.events == batch.events, f"chunk_size={chunk_size}"
-
     def test_replay_rejects_forgetting(self, quickstart_dataset):
         with pytest.raises(ValueError):
             replay_network_anomalies(quickstart_dataset.series, chunk_size=64,
@@ -160,22 +143,12 @@ class TestStreamingDetectorParity:
         assert all(not r.warmup for r in results[1:])
         # Stream-global indexing: chunk i covers bins [64 i, 64 i + 64).
         for i, result in enumerate(results):
-            assert result.start_bin == 64 * i
+            assert (result.start_bin, result.end_bin) == (
+                64 * i, min(64 * (i + 1), matrix.shape[0]))
             for detection in result.detections:
                 assert 64 * i <= detection.bin_index < 64 * (i + 1)
         assert detector.is_warmed_up
         assert detector.snapshot.n_bins_trained >= 128
-
-    def test_identification_matches_batch_on_replay(self, quickstart_dataset):
-        series = quickstart_dataset.series
-        batch = detect_network_anomalies(series, traffic_types=[TrafficType.FLOWS])
-        replay = replay_network_anomalies(series, chunk_size=96,
-                                          traffic_types=[TrafficType.FLOWS])
-        batch_flows = {d.bin_index: d.od_flows
-                       for d in batch.detections[TrafficType.FLOWS]}
-        stream_flows = {d.bin_index: d.od_flows
-                        for d in replay.detections[TrafficType.FLOWS]}
-        assert batch_flows == stream_flows
 
 
 class TestOnlineEventAggregator:
@@ -307,42 +280,6 @@ class TestSources:
                                              seed=1, max_blocks=2))
         assert sum(c.n_bins for c in chunks) == 2 * block.n_bins
 
-    def test_chunked_source_start_bin_offset(self, small_dataset):
-        # A restored detector replays the suffix of the stream from its
-        # resume bin: the resumed source starts there and keeps the
-        # stream-global bin indices.
-        series = small_dataset.series
-        source = ChunkedSeriesSource(series, 96).resume(288)
-        chunks = list(source)
-        assert chunks[0].start_bin == 288
-        assert chunks[-1].end_bin == series.n_bins
-        assert source.start_bin == 288
-        # Re-iterable with the same offset, and identical to the generator
-        # over the cut suffix.
-        again = list(source)
-        assert [c.start_bin for c in again] == [c.start_bin for c in chunks]
-        suffix = series.window(288, series.n_bins)
-        direct = list(chunk_series(suffix, 96, start_bin=288))
-        assert [c.start_bin for c in direct] == [c.start_bin for c in chunks]
-        for a, b in zip(direct, chunks):
-            for t in a.traffic_types:
-                np.testing.assert_array_equal(a.matrix(t), b.matrix(t))
-        with pytest.raises(ValueError):
-            ChunkedSeriesSource(series, 96).resume(-1)
-
-    def test_synthetic_stream_resumes_at_start_block(self):
-        block = DatasetConfig(weeks=0.25 / 7.0)
-        full = list(synthetic_chunk_stream(chunk_size=24, block_config=block,
-                                           seed=9, max_blocks=3))
-        resumed = list(SyntheticChunkSource(
-            chunk_size=24, block_config=block, seed=9,
-            max_blocks=3).resume(block.n_bins))
-        suffix = [c for c in full if c.start_bin >= block.n_bins]
-        assert [c.start_bin for c in resumed] == [c.start_bin for c in suffix]
-        for a, b in zip(resumed, suffix):
-            for t in a.traffic_types:
-                np.testing.assert_array_equal(a.matrix(t), b.matrix(t))
-
 
 class TestStreamingEdgeCases:
     def test_single_bin_chunks_match_batch_moments(self, correlated_matrix):
@@ -353,24 +290,6 @@ class TestStreamingEdgeCases:
         np.testing.assert_allclose(engine.covariance(),
                                    np.cov(correlated_matrix, rowvar=False),
                                    rtol=1e-8, atol=1e-8)
-
-    def test_single_bin_chunks_through_detector(self, quickstart_dataset):
-        # Driving the detector one bin at a time must flag the same bins as
-        # a whole-window replay with the same frozen training schedule.
-        series = quickstart_dataset.series
-        matrix = series.matrix(TrafficType.BYTES)
-        config = StreamingConfig(min_train_bins=matrix.shape[0],
-                                 identify=False)
-        whole = StreamingSubspaceDetector(config)
-        whole.process_chunk(matrix)
-        one_by_one = StreamingSubspaceDetector(config)
-        for start in range(0, matrix.shape[0]):
-            result = one_by_one.process_chunk(matrix[start:start + 1])
-        assert result.end_bin == matrix.shape[0]
-        one_by_one.calibrate()
-        flagged = one_by_one.detect_chunk(matrix, 0)
-        assert flagged.anomalous_bins == \
-            whole.detect_chunk(matrix, 0).anomalous_bins
 
     def test_spe_matches_two_gemm_residual_path(self, quickstart_dataset):
         # detect_chunk computes the SPE as ||c||² − ||scores||² (orthonormal
@@ -396,16 +315,6 @@ class TestStreamingEdgeCases:
                                        snapshot.limits.spe,
                                        detector.config.max_identified_flows)
             assert detection.od_flows == tuple(flows)
-
-    def test_chunk_size_larger_than_stream(self, small_dataset):
-        series = small_dataset.series
-        source = ChunkedSeriesSource(series, series.n_bins * 3)
-        assert len(source) == 1
-        (only,) = list(source)
-        assert only.n_bins == series.n_bins
-        replay = replay_network_anomalies(series, chunk_size=series.n_bins * 3)
-        batch = detect_network_anomalies(series)
-        assert replay.events == batch.events
 
     def test_heavy_forgetting_saturates_effective_samples(self):
         lam = 0.5

@@ -1,9 +1,11 @@
-"""Restart-parity tests for streaming checkpoints.
+"""Streaming checkpoints: the on-disk format, lineage and fallback chain.
 
-A detector checkpointed mid-stream and restored must emit the **identical**
-remaining event list an uninterrupted run would have produced — including
-events whose runs span the checkpoint boundary — and its numerical state
-must survive the npz round trip bit-for-bit.
+That a detector checkpointed mid-stream restores bit-for-bit and emits the
+**identical** remaining events (including runs that span the checkpoint
+boundary, and after a fallback to an older generation) is proven by the
+restart drivers of ``tests/test_driver_oracle.py``.  This module covers the
+format itself: files and manifests, old manifests, errors, lineage and the
+generation chain.
 """
 
 import json
@@ -12,18 +14,15 @@ import numpy as np
 import pytest
 
 from repro.core.events import Detection
-from repro.evaluation import event_parity, report_parity
 from repro.flows.timeseries import TrafficType
 from repro.streaming import (
     CHECKPOINT_FORMAT_VERSION,
-    ChunkedSeriesSource,
     OnlineEventAggregator,
     StreamingConfig,
     StreamingNetworkDetector,
     chunk_series,
     load_checkpoint,
     save_checkpoint,
-    stream_detect,
 )
 from repro.streaming import has_checkpoint
 from repro.streaming.checkpoint import (ARRAYS_FILENAME_PREFIX,
@@ -38,13 +37,6 @@ CHUNK = 48
 @pytest.fixture(scope="module")
 def live_config():
     return StreamingConfig(min_train_bins=128, recalibrate_every_bins=32)
-
-
-@pytest.fixture(scope="module")
-def uninterrupted(small_dataset, live_config):
-    """The reference: one run over all chunks without a restart."""
-    return stream_detect(chunk_series(small_dataset.series, CHUNK),
-                         live_config)
 
 
 def _chunks(dataset):
@@ -70,81 +62,23 @@ class TestCheckpointRoundtrip:
         with np.load(path / manifest["arrays_file"]) as arrays:
             assert sorted(arrays.files) == manifest["array_names"]
 
-    def test_state_restores_bitwise(self, small_dataset, live_config,
-                                    tmp_path):
-        detector = StreamingNetworkDetector(live_config)
-        for chunk in _chunks(small_dataset)[:5]:
-            detector.process_chunk(chunk)
-        detector.save(tmp_path / "ckpt")
-        restored = StreamingNetworkDetector.restore(tmp_path / "ckpt")
-        for traffic_type in small_dataset.series.traffic_types:
-            original = detector.detector(traffic_type)
-            twin = restored.detector(traffic_type)
-            np.testing.assert_array_equal(twin.engine.covariance(),
-                                          original.engine.covariance())
-            assert twin.engine.weight_sum == original.engine.weight_sum
-            assert twin.engine.n_bins_seen == original.engine.n_bins_seen
-            assert twin.bins_processed == original.bins_processed
-            np.testing.assert_array_equal(twin.snapshot.normal_axes,
-                                          original.snapshot.normal_axes)
-            assert twin.snapshot.limits == original.snapshot.limits
-        assert restored.aggregator.watermark == detector.aggregator.watermark
-        assert restored.report.to_dict() == detector.report.to_dict()
-
-    @pytest.mark.parametrize("split", [2, 5, 9])
-    def test_restart_emits_identical_remaining_events(
-            self, small_dataset, live_config, uninterrupted, tmp_path, split):
-        chunks = _chunks(small_dataset)
-        detector = StreamingNetworkDetector(live_config)
-        for chunk in chunks[:split]:
-            detector.process_chunk(chunk)
-        detector.save(tmp_path / f"ckpt{split}")
-
-        restored = StreamingNetworkDetector.restore(tmp_path / f"ckpt{split}")
-        for chunk in chunks[split:]:
-            restored.process_chunk(chunk)
-        report = restored.finish()
-
-        parity = event_parity(uninterrupted.events, report.events)
-        assert parity.exact, parity.to_dict()
-        full = report_parity(uninterrupted, report)
-        assert all(full["equal"].values()), full["equal"]
-
-    def test_restart_resumes_from_suffix_source(
-            self, small_dataset, live_config, uninterrupted, tmp_path):
-        """Restore + replay the remaining bins as a ChunkedSeriesSource suffix."""
-        chunks = _chunks(small_dataset)
-        split = 6
-        detector = StreamingNetworkDetector(live_config)
-        for chunk in chunks[:split]:
-            detector.process_chunk(chunk)
-        detector.save(tmp_path / "ckpt")
-
-        restored = StreamingNetworkDetector.restore(tmp_path / "ckpt")
-        resume_bin = restored.detector(TrafficType.BYTES).bins_processed
-        assert resume_bin == split * CHUNK
-        source = ChunkedSeriesSource(small_dataset.series,
-                                     CHUNK).resume(resume_bin)
-        for chunk in source:
-            restored.process_chunk(chunk)
-        report = restored.finish()
-        assert event_parity(uninterrupted.events, report.events).exact
-
     def _saved(self, small_dataset, live_config, path, n_chunks=6):
         detector = StreamingNetworkDetector(live_config)
         for chunk in _chunks(small_dataset)[:n_chunks]:
             detector.process_chunk(chunk)
         path = save_checkpoint(detector, path)
-        return path, json.loads((path / MANIFEST_FILENAME).read_text())
+        manifest = json.loads((path / MANIFEST_FILENAME).read_text())
+        return path, manifest, detector
 
     def test_manifest_with_retired_config_keys_restores(
-            self, small_dataset, live_config, uninterrupted, tmp_path):
+            self, small_dataset, live_config, tmp_path):
         # Manifests written before the column-shard count, the parallel
         # mode, shard mode's bus/poll knobs, the hierarchy's default PoP
         # count and the moment-engine switch with its low-rank knobs left
-        # StreamingConfig still carry those keys.
-        path, manifest = self._saved(small_dataset, live_config,
-                                     tmp_path / "ckpt")
+        # StreamingConfig still carry those keys; they restore the saved
+        # state bit for bit.
+        path, manifest, detector = self._saved(small_dataset, live_config,
+                                               tmp_path / "ckpt")
         manifest["meta"]["config"].update(n_shards=1, parallel_mode="type",
                                           bus_slots=8, poll_seconds=1.0,
                                           n_pops=2, engine="exact",
@@ -153,17 +87,16 @@ class TestCheckpointRoundtrip:
 
         restored = load_checkpoint(path)
         assert restored.config == live_config
-        for chunk in _chunks(small_dataset)[6:]:
-            restored.process_chunk(chunk)
-        report = restored.finish()
-        assert report.events == uninterrupted.events
-        full = report_parity(uninterrupted, report)
-        assert all(full["equal"].values()), full["equal"]
+        ours, theirs = restored.state_dict(), detector.state_dict()
+        assert ours["meta"] == theirs["meta"]
+        assert sorted(ours["arrays"]) == sorted(theirs["arrays"])
+        for name, array in theirs["arrays"].items():
+            np.testing.assert_array_equal(ours["arrays"][name], array)
 
     def test_sharded_engine_kind_is_rejected(
             self, small_dataset, live_config, tmp_path):
-        path, manifest = self._saved(small_dataset, live_config,
-                                     tmp_path / "ckpt")
+        path, manifest, _ = self._saved(small_dataset, live_config,
+                                        tmp_path / "ckpt")
         engine = manifest["meta"]["detectors"]["bytes"]["engine"]
         engine["kind"] = "sharded_online_pca"
         (path / MANIFEST_FILENAME).write_text(json.dumps(manifest))
@@ -172,8 +105,8 @@ class TestCheckpointRoundtrip:
 
     def test_low_rank_engine_kind_names_the_removed_engine(
             self, small_dataset, live_config, tmp_path):
-        path, manifest = self._saved(small_dataset, live_config,
-                                     tmp_path / "ckpt")
+        path, manifest, _ = self._saved(small_dataset, live_config,
+                                        tmp_path / "ckpt")
         manifest["meta"]["config"].update(engine="lowrank", rank_slack=8,
                                           drift_tolerance=1e-10)
         manifest["meta"]["detectors"]["bytes"]["engine"]["kind"] = (
@@ -538,28 +471,6 @@ class TestGenerationsAndFallback:
             manifest_path.write_text("{ torn", encoding="utf-8")
         with pytest.raises(ValueError, match="every candidate failed"):
             load_checkpoint(directory, fallback=True)
-
-    def test_restored_generation_resumes_with_parity(self, small_dataset,
-                                                     live_config, tmp_path,
-                                                     uninterrupted):
-        directory = tmp_path / "ckpt"
-        chunks = _chunks(small_dataset)
-        detector = StreamingNetworkDetector(live_config)
-        for index, chunk in enumerate(chunks, start=1):
-            detector.process_chunk(chunk)
-            if index == 4 or index == 6:
-                save_checkpoint(detector, directory)
-            if index == 7:
-                break
-        manifest = json.loads((directory / MANIFEST_FILENAME).read_text())
-        victim = directory / manifest["arrays_file"]
-        victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
-        restored = load_checkpoint(directory, fallback=True)
-        assert restored.report.n_chunks_processed == 4
-        for chunk in chunks[4:]:
-            restored.process_chunk(chunk)
-        report = restored.finish()
-        assert event_parity(uninterrupted.events, report.events).exact
 
     def test_has_checkpoint(self, small_dataset, live_config, tmp_path):
         directory = tmp_path / "ckpt"

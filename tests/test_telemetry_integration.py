@@ -36,12 +36,6 @@ def base_config():
     return StreamingConfig(min_train_bins=128, recalibrate_every_bins=96)
 
 
-@pytest.fixture(scope="module")
-def plain_report(small_dataset, base_config):
-    return stream_detect(chunk_series(small_dataset.series, CHUNK),
-                         base_config)
-
-
 def _telemetry_config(base, tmp_path, **overrides):
     return dataclasses.replace(
         base, telemetry=True, telemetry_sample_rate=1.0,
@@ -60,15 +54,6 @@ def _assert_reconciles(snapshot, report):
 
 
 class TestFlatPipeline:
-    def test_events_identical_with_telemetry_on(self, small_dataset,
-                                                base_config, plain_report,
-                                                tmp_path):
-        config = _telemetry_config(base_config, tmp_path)
-        report = stream_detect(chunk_series(small_dataset.series, CHUNK),
-                               config)
-        assert report.events == plain_report.events
-        assert report.detections == plain_report.detections
-
     def test_snapshot_reconciles_with_report(self, small_dataset,
                                              base_config, tmp_path):
         config = _telemetry_config(base_config, tmp_path)

@@ -12,7 +12,11 @@ metric beyond a tolerance:
 * ``consolidate`` merges every artifact into the trajectory file (each
   top-level record is keyed by its ``"benchmark"`` name; nested sections,
   like the two halves of ``bench_live_eval.json``, are flattened with their
-  section key);
+  section key).  ``benchmarks/artifacts/`` is not versioned, so it can hold
+  artifacts of benchmarks that were since deleted: a record is merged only
+  while the benchmark test its ``"source"`` names (``"<module>::<function>"``,
+  stamped by the benchmarks' ``write_artifact``) is still defined, and every
+  other record is skipped with a ``STALE:`` note;
 * ``check`` compares the *portable* metrics of the current artifacts
   against the committed baseline: **speedup ratios** (any numeric field
   whose name contains ``speedup``) may not fall below
@@ -51,6 +55,7 @@ without downloading artifacts.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import sys
 from pathlib import Path
@@ -81,17 +86,39 @@ def collect_records(artifact_dir: Path) -> Dict[str, Dict]:
     return records
 
 
+def _test_exists(source: str) -> bool:
+    """Whether the ``"<module>::<function>"`` *source* is still defined."""
+    module, _, function = source.partition("::")
+    path = REPO_ROOT / module
+    if not path.is_file():
+        return False
+    return any(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name == function
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
 def consolidate(artifact_dir: Path, output: Path) -> Dict:
     """Merge the artifacts into the trajectory file and return the payload.
 
     Records already in the trajectory but absent from the artifact
     directory are kept (a partial local benchmark run must not silently
-    drop another benchmark's baseline — and thereby its gating).
+    drop another benchmark's baseline — and thereby its gating).  Stale
+    artifact records — whose ``"source"`` test is gone, or that name none —
+    are skipped with a ``STALE:`` note on stderr.
     """
     records: Dict[str, Dict] = {}
     if output.is_file():
         records.update(json.loads(output.read_text()).get("benchmarks", {}))
-    records.update(collect_records(artifact_dir))
+    for name, record in collect_records(artifact_dir).items():
+        source = record.get("source")
+        if not (isinstance(source, str) and "::" in source):
+            reason = "it names no producing test (\"source\")"
+        elif not _test_exists(source):
+            reason = f"its test {source} no longer exists"
+        else:
+            records[name] = record
+            continue
+        print(f"STALE: skipped record {name!r}: {reason}", file=sys.stderr)
     payload = {"schema": SCHEMA_VERSION, "benchmarks": records}
     output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
