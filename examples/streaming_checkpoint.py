@@ -67,7 +67,7 @@ def main() -> None:
         print(f"checkpoint after {split * CHUNK} bins: {kinds}")
 
         restored = StreamingNetworkDetector.restore(checkpoint_dir)
-        resume_bin = restored.report.n_bins_processed
+        resume_bin = restored.resume_bin
         for chunk in ChunkedSeriesSource(series, CHUNK).resume(resume_bin):
             restored.process_chunk(chunk)
         report = restored.finish()
@@ -91,7 +91,7 @@ def main() -> None:
         print(f"generation chain:  {generations}")
 
         restored = load_checkpoint(checkpoint_dir, fallback=True)
-        resume_bin = restored.report.n_bins_processed
+        resume_bin = restored.resume_bin
         for chunk in ChunkedSeriesSource(series, CHUNK).resume(resume_bin):
             restored.process_chunk(chunk)
         report = restored.finish()

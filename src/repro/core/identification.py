@@ -34,7 +34,12 @@ import numpy as np
 from repro.core.subspace import SubspaceModel, T2Scaling
 from repro.utils.validation import ensure_2d, require
 
+#: Cap on the number of OD flows the batch and streaming detectors identify
+#: per flagged bin.
+MAX_IDENTIFIED_FLOWS = 16
+
 __all__ = [
+    "MAX_IDENTIFIED_FLOWS",
     "identify_od_flows",
     "identify_spe_flows",
     "identify_t2_flows",

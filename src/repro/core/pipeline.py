@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.detector import DetectionResult, SubspaceDetector
 from repro.core.events import AnomalyEvent, Detection, aggregate_detections
-from repro.core.identification import identify_od_flows
+from repro.core.identification import MAX_IDENTIFIED_FLOWS, identify_od_flows
 from repro.core.subspace import T2Scaling
 from repro.flows.timeseries import TrafficMatrixSeries, TrafficType
 from repro.utils.validation import ensure_probability, require
@@ -74,7 +74,6 @@ def detect_network_anomalies(
     t2_scaling: T2Scaling = T2Scaling.HOTELLING,
     use_t2: bool = True,
     traffic_types: Optional[Sequence[TrafficType]] = None,
-    max_identified_flows: int = 16,
 ) -> NetworkAnomalyReport:
     """Run the full subspace diagnosis over *series*.
 
@@ -93,8 +92,6 @@ def detect_network_anomalies(
         Whether to apply the T² test (disable for the SPE-only ablation).
     traffic_types:
         Which traffic types to analyze (default: all present in *series*).
-    max_identified_flows:
-        Cap on the number of OD flows identified per flagged bin.
 
     Returns
     -------
@@ -131,7 +128,7 @@ def detect_network_anomalies(
                 bin_detection.bin_index,
                 statistic,
                 threshold,
-                max_flows=max_identified_flows,
+                max_flows=MAX_IDENTIFIED_FLOWS,
             )
             type_detections.append(Detection(
                 traffic_type=traffic_type,

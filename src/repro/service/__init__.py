@@ -9,7 +9,7 @@ long-running process:
   store (postgres-ready schema) with time-window/type/severity queries
   and a byte-identity ``table_digest``;
 * :mod:`repro.service.sinks` — pluggable alert sinks behind a
-  retry/backoff/dedup/dead-letter dispatcher;
+  retry/backoff/dead-letter dispatcher;
 * :mod:`repro.service.runner` — :class:`DetectionService`: the run loop
   with SIGTERM/SIGINT graceful shutdown, checkpointed restarts, and the
   service CLI (``python -m repro.service``).

@@ -11,8 +11,7 @@ losing or duplicating a single event:
 * SIGTERM/SIGINT set a stop flag checked between chunks: the in-flight
   chunk finishes, a crash-consistent checkpoint is written via the
   existing :func:`~repro.streaming.checkpoint.save_checkpoint`, the store
-  and sinks are flushed, and :meth:`run` returns cleanly (the CLI exits
-  0);
+  is flushed, and :meth:`run` returns cleanly (the CLI exits 0);
 * on restart the service restores from the checkpoint directory and
   resumes at :attr:`resume_bin`.  PR 3's restart-parity guarantee (the
   restored detector emits the identical remaining events) plus the
@@ -168,8 +167,9 @@ class DetectionService:
 
     @property
     def resume_bin(self) -> int:
-        """Stream-global bin the next chunk must start at (0: fresh run)."""
-        return self._detector.report.n_bins_processed
+        """Stream-global bin a restart resumes at (0: fresh run): the end
+        of the last accepted chunk."""
+        return self._detector.resume_bin
 
     @property
     def stop_requested(self) -> bool:
@@ -244,11 +244,11 @@ class DetectionService:
         :attr:`resume_bin` via ``source.resume(...)``, so callers hand it
         the **full** stream; a plain iterable may also be the aligned
         suffix, since its ``resume`` only skips chunks that end before the
-        resume bin.  Every chunk is checked to start where the previous
-        one ended.
+        resume bin.  Every chunk's start is checked by
+        ``StreamingNetworkDetector.check_start``.
 
         Graceful-shutdown sequence on a stop: finish the in-flight chunk,
-        write a checkpoint, flush the store and the sinks, return.  On a
+        write a checkpoint, flush the store, return.  On a
         clean end of stream the aggregator tail is flushed through the
         same persistence path, then the final checkpoint is written.
         """
@@ -258,19 +258,13 @@ class DetectionService:
         interrupted = False
         try:
             if not self._detector.finished:
-                expected = self.resume_bin
-                if expected:
+                if self.resume_bin:
                     # Not at bin 0: a live feed already in flight cannot
                     # be re-positioned, and a fresh run needs no skipping.
-                    source = source.resume(expected)
+                    source = source.resume(self.resume_bin)
                 for n_chunks, chunk in enumerate(source, start=1):
-                    require(chunk.start_bin == expected,
-                            f"resume misalignment: expected a chunk "
-                            f"starting at bin {expected}, got "
-                            f"{chunk.start_bin} (feed the suffix of the "
-                            f"original stream from resume_bin)")
+                    self._detector.check_start(chunk)
                     self._detector.process_chunk(chunk)
-                    expected = chunk.end_bin
                     if (self._checkpoint_every is not None
                             and n_chunks % self._checkpoint_every == 0):
                         self._checkpoint()
@@ -282,8 +276,6 @@ class DetectionService:
             report = self._detector.report
             self._checkpoint()
             self.store.flush()
-            if self.dispatcher is not None:
-                self.dispatcher.flush()
             telemetry = self._detector.telemetry
             if telemetry is not None:
                 telemetry.write_snapshot()

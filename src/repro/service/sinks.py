@@ -1,4 +1,4 @@
-"""Pluggable alert sinks with bounded retry, dedup, and a dead-letter file.
+"""Pluggable alert sinks with bounded retry and a dead-letter file.
 
 An alert sink is anything with a ``name`` and an ``emit(payload)`` that
 raises on failure — stdout for interactive runs, a JSON-lines file for
@@ -14,17 +14,19 @@ how production notifiers behave:
   ``backoff_base * backoff_factor**attempt`` scaled by a seeded random
   jitter, so a flapping sink neither drops alerts instantly nor
   synchronizes its retries;
-* **dedup window** — the last ``dedup_window`` event keys are remembered
-  and re-dispatches are suppressed (redelivery happens: sink retries at a
-  higher layer, overlapping replays);
 * **dead-letter file** — an alert that exhausts its retries is appended,
   with the error chain, to a JSON-lines dead-letter file instead of being
   lost silently;
 * **metrics** — every outcome increments a counter in the run's
   :class:`~repro.telemetry.MetricsRegistry` (``alerts_sent``,
-  ``alert_retries``, ``alerts_deduplicated``, ``alerts_dead_lettered``,
-  labeled by sink), so the PR 7 status surface shows alerting health next
-  to detection throughput.
+  ``alert_retries``, ``alerts_dead_lettered``, labeled by sink), so the
+  status surface shows alerting health next to detection throughput.
+
+The dispatcher keeps no dedup state of its own: the service dispatches
+only the events that created a new row in the
+:class:`~repro.service.store.EventStore`, which keys rows by
+:func:`~repro.service.records.event_key`, so a replayed event never
+reaches :meth:`AlertDispatcher.dispatch` twice.
 
 Everything is injectable (``sleep``, RNG seed, webhook transport), so the
 failure paths are unit-testable without wall-clock sleeps or a network.
@@ -40,7 +42,6 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.events import AnomalyEvent
@@ -156,7 +157,7 @@ class WebhookSink(AlertSink):
 
 
 class AlertDispatcher:
-    """Retry/backoff/dedup/dead-letter delivery policy over alert sinks.
+    """Retry/backoff/dead-letter delivery policy over alert sinks.
 
     Parameters
     ----------
@@ -174,8 +175,6 @@ class AlertDispatcher:
     jitter:
         Uniform jitter fraction: each sleep is scaled by
         ``1 + jitter * U[0, 1)`` from a seeded RNG.
-    dedup_window:
-        How many recently alerted event keys are remembered.
     dead_letter_path:
         JSON-lines file collecting alerts that exhausted their retries
         (empty: exhausted alerts are only counted).
@@ -199,7 +198,6 @@ class AlertDispatcher:
                  backoff_base: float = 0.05,
                  backoff_factor: float = 2.0,
                  jitter: float = 0.1,
-                 dedup_window: int = 1024,
                  dead_letter_path: str = "",
                  dead_letter_max_bytes: int = 1_048_576,
                  sleep: Callable[[float], None] = time.sleep,
@@ -208,7 +206,6 @@ class AlertDispatcher:
         require(backoff_base >= 0.0, "backoff_base must be >= 0")
         require(backoff_factor >= 1.0, "backoff_factor must be >= 1")
         require(jitter >= 0.0, "jitter must be >= 0")
-        require(dedup_window >= 0, "dedup_window must be >= 0")
         require(dead_letter_max_bytes >= 0,
                 "dead_letter_max_bytes must be >= 0")
         self.sinks: List[AlertSink] = list(sinks)
@@ -217,28 +214,12 @@ class AlertDispatcher:
         self.backoff_base = float(backoff_base)
         self.backoff_factor = float(backoff_factor)
         self.jitter = float(jitter)
-        self.dedup_window = int(dedup_window)
         self.dead_letter_path = str(dead_letter_path)
         self.dead_letter_max_bytes = int(dead_letter_max_bytes)
         self._sleep = sleep
         self._rng = random.Random(seed)
-        self._recent: "OrderedDict[str, None]" = OrderedDict()
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
-    def _remember(self, key: str) -> bool:
-        """Record *key* in the dedup window; ``True`` iff it was new."""
-        if self.dedup_window == 0:
-            return True
-        with self._lock:
-            if key in self._recent:
-                self._recent.move_to_end(key)
-                return False
-            self._recent[key] = None
-            while len(self._recent) > self.dedup_window:
-                self._recent.popitem(last=False)
-            return True
-
     def _backoff_seconds(self, attempt: int) -> float:
         base = self.backoff_base * (self.backoff_factor ** attempt)
         return base * (1.0 + self.jitter * self._rng.random())
@@ -297,33 +278,18 @@ class AlertDispatcher:
 
     # ------------------------------------------------------------------ #
     def dispatch(self, event: AnomalyEvent,
-                 record: Optional[EventRecord] = None) -> bool:
-        """Alert every sink about *event*; ``True`` iff it was dispatched.
+                 record: Optional[EventRecord] = None) -> None:
+        """Alert every sink about *event*.
 
-        Returns ``False`` when the event key sat in the dedup window.  A
-        partially failed dispatch (some sinks delivered, some
-        dead-lettered) still counts as dispatched — per-sink outcomes are
-        in the metrics and the dead-letter file.
+        Per-sink outcomes (delivered, retried, dead-lettered) are in the
+        metrics and the dead-letter file; a failing sink never keeps the
+        others from delivering.
         """
         if record is None:
             record = classify_event(event)
-        if not self._remember(record.key):
-            self.registry.counter(
-                "alerts_deduplicated",
-                help="Alerts suppressed by the dedup window").inc()
-            return False
         payload = record.to_dict()
         for sink in self.sinks:
             self._deliver(sink, payload)
-        return True
-
-    def dispatch_many(self, events: Sequence[AnomalyEvent]) -> int:
-        """Dispatch a batch; returns how many were not deduplicated."""
-        return sum(1 for event in events if self.dispatch(event))
-
-    def flush(self) -> None:
-        """No-op placeholder for symmetry with the store (sinks flush per
-        emit); kept so the service shutdown sequence reads uniformly."""
 
     def close(self) -> None:
         for sink in self.sinks:

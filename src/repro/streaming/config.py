@@ -15,9 +15,17 @@ __all__ = ["StreamingConfig", "forgetting_from_half_life"]
 #: the shard-mode chunk-bus ring length and worker liveness poll, the
 #: hierarchy's default PoP count (now only its constructor argument), and
 #: the moment-engine switch with the two knobs of the removed low-rank
-#: engine (its tracked-rank slack and orthonormality-drift threshold).
+#: engine (its tracked-rank slack and orthonormality-drift threshold), and
+#: seven knobs no caller set: the per-bin identification cap (now
+#: ``repro.core.identification.MAX_IDENTIFIED_FLOWS``), the span-sampling
+#: seed, and the adaptive policy's five tuning knobs (the policy keeps its
+#: own defaults and checkpoints them in its state).
 RETIRED_FIELDS = ("n_shards", "parallel_mode", "bus_slots", "poll_seconds",
-                  "n_pops", "engine", "rank_slack", "drift_tolerance")
+                  "n_pops", "engine", "rank_slack", "drift_tolerance",
+                  "max_identified_flows", "telemetry_seed",
+                  "adaptive_warmup_bins", "adaptive_smoothing",
+                  "adaptive_max_drift", "adaptive_block_bins",
+                  "adaptive_freeze_factor")
 
 
 def forgetting_from_half_life(half_life_bins: float) -> float:
@@ -57,8 +65,6 @@ class StreamingConfig:
         Threshold/eigenbasis refresh cadence: the subspace snapshot is
         recomputed from the running moments once at least this many new bins
         arrived since the last calibration.  ``1`` refreshes on every chunk.
-    max_identified_flows:
-        Cap on the number of OD flows identified per flagged bin.
     identify:
         Whether to run per-bin OD-flow identification at all (disable for
         pure detection throughput, e.g. in benchmarks).
@@ -68,23 +74,9 @@ class StreamingConfig:
         ``"adaptive"`` multiplies them by EWMA-smoothed empirical-quantile
         scales maintained by an
         :class:`~repro.streaming.adaptive_limits.AdaptiveControlLimits`
-        policy — warm-up period, clamped drift rate, freeze-on-alarm — for
-        non-stationary streams where the parametric limits lag the data.
-    adaptive_warmup_bins:
-        Clean (un-flagged) bins the adaptive policy observes before its
-        scales may move; until then it behaves exactly like ``"fixed"``.
-    adaptive_smoothing:
-        EWMA weight of each new block quantile, in ``(0, 1]``.
-    adaptive_max_drift:
-        Per-block relative clamp on the scale movement; ``0`` pins the
-        scales at ``1`` and reduces the adaptive policy to ``"fixed"``.
-    adaptive_block_bins:
-        Observed bins per empirical-quantile block of the adaptive policy.
-    adaptive_freeze_factor:
-        Freeze-on-alarm censoring cap, as a multiple of the current
-        effective limit: statistic values above it are treated as
-        anomalies and excluded from the quantile; values below it are
-        treated as drift and tracked.
+        policy with its default warm-up period, clamped drift rate and
+        freeze-on-alarm cap — for non-stationary streams where the
+        parametric limits lag the data.
     on_bad_chunk:
         Malformed-chunk policy of the network detector.  A chunk is
         malformed when any traffic type's matrix contains non-finite
@@ -105,10 +97,8 @@ class StreamingConfig:
         Fraction of chunks whose trace spans are emitted as JSON-lines
         records (one seeded Bernoulli draw per chunk).  Latency
         *histograms* are always maintained regardless; sampling only
-        bounds the structured-record volume.
-    telemetry_seed:
-        Seed of the span-sampling RNG — same seed, same chunk order ⇒
-        same sampled set, which keeps instrumented reruns comparable.
+        bounds the structured-record volume.  The sampling RNG is seeded
+        with 0, so the same chunk order samples the same set.
     telemetry_trace_path:
         JSON-lines span sink path (empty: spans are timed but not
         written).
@@ -127,18 +117,11 @@ class StreamingConfig:
     forgetting: float = 1.0
     min_train_bins: int = 64
     recalibrate_every_bins: int = 1
-    max_identified_flows: int = 16
     identify: bool = True
     limits: str = "fixed"
-    adaptive_warmup_bins: int = 64
-    adaptive_smoothing: float = 0.25
-    adaptive_max_drift: float = 0.05
-    adaptive_block_bins: int = 32
-    adaptive_freeze_factor: float = 4.0
     on_bad_chunk: str = "raise"
     telemetry: bool = False
     telemetry_sample_rate: float = 0.05
-    telemetry_seed: int = 0
     telemetry_trace_path: str = ""
     telemetry_snapshot_path: str = ""
     telemetry_snapshot_every_chunks: int = 16
@@ -151,20 +134,8 @@ class StreamingConfig:
         require(self.min_train_bins >= 2, "min_train_bins must be >= 2")
         require(self.recalibrate_every_bins >= 1,
                 "recalibrate_every_bins must be >= 1")
-        require(self.max_identified_flows >= 1,
-                "max_identified_flows must be >= 1")
         require(self.limits in ("fixed", "adaptive"),
                 "limits must be 'fixed' or 'adaptive'")
-        require(self.adaptive_warmup_bins >= 1,
-                "adaptive_warmup_bins must be >= 1")
-        require(0.0 < self.adaptive_smoothing <= 1.0,
-                "adaptive_smoothing must be in (0, 1]")
-        require(self.adaptive_max_drift >= 0.0,
-                "adaptive_max_drift must be >= 0")
-        require(self.adaptive_block_bins >= 1,
-                "adaptive_block_bins must be >= 1")
-        require(self.adaptive_freeze_factor > 1.0,
-                "adaptive_freeze_factor must be > 1")
         require(self.on_bad_chunk in ("raise", "quarantine"),
                 "on_bad_chunk must be 'raise' or 'quarantine'")
         require(0.0 <= self.telemetry_sample_rate <= 1.0,

@@ -31,7 +31,8 @@ import numpy as np
 
 from repro.core.detector import BinDetection, classify_bins
 from repro.core.events import Detection
-from repro.core.identification import identify_spe_flows, identify_t2_flows
+from repro.core.identification import (MAX_IDENTIFIED_FLOWS,
+                                       identify_spe_flows, identify_t2_flows)
 from repro.core.limits import ControlLimits, T2Scaling, control_limits
 from repro.flows.timeseries import TrafficType
 from repro.streaming.adaptive_limits import AdaptiveControlLimits
@@ -47,14 +48,7 @@ def make_limits_policy(config: StreamingConfig) -> Optional[AdaptiveControlLimit
     """The control-limit policy a config asks for (``None`` means fixed)."""
     if config.limits != "adaptive":
         return None
-    return AdaptiveControlLimits(
-        confidence=config.confidence,
-        warmup_bins=config.adaptive_warmup_bins,
-        smoothing=config.adaptive_smoothing,
-        max_drift=config.adaptive_max_drift,
-        block_bins=config.adaptive_block_bins,
-        freeze_factor=config.adaptive_freeze_factor,
-    )
+    return AdaptiveControlLimits(confidence=config.confidence)
 
 
 @dataclass(frozen=True)
@@ -428,7 +422,7 @@ class StreamingSubspaceDetector:
                 residual_row = (centered[row]
                                 - scores[row] @ snapshot.normal_axes.T)
                 flows = identify_spe_flows(residual_row, limits.spe,
-                                           config.max_identified_flows)
+                                           MAX_IDENTIFIED_FLOWS)
             else:
                 flows = identify_t2_flows(
                     centered[row],
@@ -437,7 +431,7 @@ class StreamingSubspaceDetector:
                     snapshot.n_samples,
                     limits.t2,
                     config.t2_scaling,
-                    config.max_identified_flows,
+                    MAX_IDENTIFIED_FLOWS,
                 )
             od_flows = tuple(flows)
         return StreamDetection(

@@ -58,10 +58,14 @@ class _MergedEngine:
     """One moment engine per PoP behind the single-engine surface.
 
     :meth:`partial_fit` folds a chunk into the engine of the PoP *route*
-    names; every read the detector makes (``n_bins_seen`` / ``rank`` /
-    ``n_samples`` / ``mean`` / ``eigenbasis`` / ``state_dict``) goes to a
-    cached :func:`~repro.streaming.online_pca.merge_online_pca` fold, in
-    PoP order, of the engines that hold data and are not quarantined.
+    names.  The counts the detector reads on every chunk (``n_bins_seen``
+    / ``n_samples`` / ``rank``) are sums over the PoPs that are not
+    quarantined (``n_samples`` is the bin count because the hierarchy
+    requires ``forgetting = 1``); the moments (``mean`` / ``eigenbasis``
+    / ``eigen_fallbacks`` / ``state_dict``) go to a cached
+    :func:`~repro.streaming.online_pca.merge_online_pca` fold, in PoP
+    order, of the engines that hold data and are not quarantined, so the
+    fold runs at recalibrations and saves, not per chunk.
     """
 
     def __init__(self, config: StreamingConfig, n_pops: int,
@@ -90,7 +94,10 @@ class _MergedEngine:
         quarantine set changed."""
         engines = [(pop, engine) for pop, engine in enumerate(self._engines)
                    if pop not in self._quarantined and engine.n_bins_seen]
-        key = tuple((pop, engine._version) for pop, engine in engines)
+        # Without forgetting a PoP's moments change only when it ingests
+        # bins (a merge that switches it to its scatter keeps them), so
+        # the bin counts key the cache.
+        key = tuple((pop, engine.n_bins_seen) for pop, engine in engines)
         if self._cached is None or key != self._cache_key:
             if not engines:
                 self._cached = OnlinePCA(forgetting=self._forgetting)
@@ -108,15 +115,16 @@ class _MergedEngine:
 
     @property
     def n_bins_seen(self) -> int:
-        return self.merged().n_bins_seen
+        return sum(engine.n_bins_seen
+                   for pop, engine in enumerate(self._engines)
+                   if pop not in self._quarantined)
 
-    @property
-    def n_samples(self) -> int:
-        return self.merged().n_samples
+    n_samples = n_bins_seen
 
     @property
     def rank(self) -> int:
-        return self.merged().rank
+        n_features = self.n_features
+        return 0 if n_features is None else min(self.n_bins_seen, n_features)
 
     @property
     def mean(self) -> np.ndarray:

@@ -215,6 +215,13 @@ class StreamingNetworkDetector:
         self._telemetry = Telemetry.from_config(config)
         self._run_started: Optional[float] = None
         self._runtime_base = 0.0
+        # Stream position: the end of the last accepted chunk, and the end
+        # and count of the quarantined chunks after it; ``_last_end`` is the
+        # end of the last chunk this run saw.  A restored run drops re-sent
+        # copies of those quarantined chunks (``_resent`` of them) without
+        # counting them again.
+        self._accepted_end = self._skipped_end = self._last_end = 0
+        self._n_skipped = self._resent = 0
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -243,6 +250,26 @@ class StreamingNetworkDetector:
     def run_id(self) -> str:
         """Lineage id of this run (stable across checkpoint/restore)."""
         return self._run_id
+
+    @property
+    def resume_bin(self) -> int:
+        """Stream-global bin a restart resumes at: the end of the last
+        accepted chunk (0 for a fresh run)."""
+        return self._accepted_end
+
+    def check_start(self, chunk: TrafficChunk) -> None:
+        """Raise unless *chunk* starts where the stream may continue.
+
+        That is the end of the chunk before it, :attr:`resume_bin` (a
+        replacement for, or a re-send of, the chunks quarantined since the
+        last accepted one), or the end of those quarantined chunks.
+        """
+        if chunk.start_bin not in (self._last_end, self._accepted_end,
+                                   self._skipped_end):
+            raise ValueError(
+                f"resume misalignment: expected a chunk starting at bin "
+                f"{self._last_end}, got {chunk.start_bin} (feed the suffix "
+                f"of the original stream from resume_bin)")
 
     @property
     def finished(self) -> bool:
@@ -328,15 +355,25 @@ class StreamingNetworkDetector:
         ``"raise"`` turns the defect into a :class:`ValueError`;
         ``"quarantine"`` counts it (``bad_chunks`` metric,
         ``report.n_bad_chunks``) and tells the caller to drop the chunk
-        without touching the model or the aggregator watermark.
+        without touching the model or the aggregator watermark.  A
+        restored run drops a re-sent copy of a chunk it counted before
+        the checkpoint without counting it again.
         """
         error = self._chunk_error(chunk)
-        if error is None:
-            return False
-        if self._config.on_bad_chunk == "raise":
+        if error is not None and self._config.on_bad_chunk == "raise":
             raise ValueError(
                 f"malformed traffic chunk: {error} "
                 f"(set on_bad_chunk='quarantine' to count and skip instead)")
+        self._last_end = chunk.end_bin
+        if error is None:
+            self._accepted_end = self._skipped_end = chunk.end_bin
+            self._n_skipped = self._resent = 0
+            return False
+        if self._resent and chunk.end_bin <= self._skipped_end:
+            self._resent -= 1
+            return True
+        self._skipped_end = chunk.end_bin
+        self._n_skipped += 1
         self._report.n_bad_chunks += 1
         if self._telemetry is not None:
             self._telemetry.registry.counter(
@@ -429,6 +466,8 @@ class StreamingNetworkDetector:
             "detectors": {},
             "aggregator": self._aggregator.state_dict(),
             "report": self._report.to_dict(),
+            "position": [self._accepted_end, self._skipped_end,
+                         self._n_skipped],
             # Counters survive the checkpoint; in-flight spans do not (the
             # restored run builds a fresh tracer from the config).
             "telemetry": (None if self._telemetry is None
@@ -464,6 +503,13 @@ class StreamingNetworkDetector:
             meta["aggregator"])
         detector._report = StreamingReport.from_dict(meta["report"])
         detector._finished = bool(meta["finished"])
+        # .get(): checkpoints written before the position existed resume
+        # at the bins processed.
+        processed = detector._report.n_bins_processed
+        (detector._accepted_end, detector._skipped_end,
+         detector._n_skipped) = meta.get("position", (processed, processed, 0))
+        detector._last_end = detector._accepted_end
+        detector._resent = detector._n_skipped
         # Resume the runtime clock from the checkpointed value and fold the
         # checkpointed counters into the fresh telemetry bundle.  .get():
         # pre-telemetry checkpoints carry no "telemetry" entry.

@@ -68,7 +68,6 @@ class Telemetry:
         sink = JsonLinesSink(trace_path) if trace_path else None
         tracer = Tracer(
             sample_rate=float(getattr(config, "telemetry_sample_rate", 1.0)),
-            seed=int(getattr(config, "telemetry_seed", 0)),
             registry=registry, sink=sink)
         return cls(
             registry=registry, tracer=tracer,

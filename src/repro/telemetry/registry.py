@@ -5,17 +5,16 @@ named collection of three metric kinds shared by every runtime component:
 
 * :class:`Counter` — a monotonically increasing float (bins processed,
   events emitted, recalibrations run);
-* :class:`Gauge` — a point-in-time value with an explicit **merge mode**
-  (``last``/``sum``/``max``/``min``), because "the adaptive scale is 1.2"
-  and "the worst lag was 3 bins" combine differently;
+* :class:`Gauge` — a point-in-time value (the adaptive scale, a leaf's
+  lag) that merges last-writer-wins;
 * :class:`Histogram` — fixed upper-bound buckets plus a running sum/count
   (per-stage latencies), so two runs' distributions add bucket-wise.
 
 Registries **merge**: a restored run folds the registry saved in its
 checkpoint into its fresh one with :meth:`~MetricsRegistry.merge` — the
-same discipline as the moment algebra, and (for counters, histograms, and
-``sum``/``max``/``min`` gauges) associative and commutative in the same
-way, which is what ``tests/test_telemetry.py`` property-checks.
+same discipline as the moment algebra, and (for counters and histograms)
+associative and commutative in the same way, which is what
+``tests/test_telemetry.py`` property-checks.
 
 Metric identity is ``(name, labels)`` where labels is a frozen mapping
 (Prometheus-style dimensions: ``{"type": "bytes"}``, ``{"stage":
@@ -78,21 +77,13 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value with an explicit cross-process merge mode.
-
-    ``last`` (the default) keeps whichever side set the gauge more
-    recently in merge order — right for state like the adaptive scale;
-    ``sum``/``max``/``min`` combine values (totals, worst-case lag)
-    order-independently.
-    """
+    """A point-in-time value; a merge keeps the side set last in merge
+    order (the merged-in side, if it was ever set)."""
 
     kind = "gauge"
-    MODES = ("last", "sum", "max", "min")
 
-    def __init__(self, lock: threading.RLock, mode: str = "last") -> None:
-        require(mode in self.MODES, f"gauge mode must be one of {self.MODES}")
+    def __init__(self, lock: threading.RLock) -> None:
         self._lock = lock
-        self.mode = mode
         self.value = 0.0
         self.n_sets = 0
 
@@ -102,25 +93,14 @@ class Gauge:
             self.n_sets += 1
 
     def merge(self, other: "Gauge") -> None:
-        require(other.mode == self.mode,
-                f"cannot merge gauge modes {self.mode!r} and {other.mode!r}")
         with self._lock:
             if other.n_sets == 0:
                 return
-            if self.n_sets == 0:
-                self.value = other.value
-            elif self.mode == "sum":
-                self.value += other.value
-            elif self.mode == "max":
-                self.value = max(self.value, other.value)
-            elif self.mode == "min":
-                self.value = min(self.value, other.value)
-            else:  # "last": merge order decides, the other side is newer
-                self.value = other.value
+            self.value = other.value
             self.n_sets += other.n_sets
 
     def to_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "mode": self.mode, "value": self.value,
+        return {"kind": self.kind, "value": self.value,
                 "n_sets": self.n_sets}
 
     def restore(self, data: Mapping[str, object]) -> None:
@@ -213,8 +193,8 @@ class MetricsRegistry:
 
     Accessor methods (:meth:`counter`, :meth:`gauge`, :meth:`histogram`)
     get-or-create, so instrumentation sites never pre-register; asking for
-    an existing name with a different kind (or different gauge
-    mode/histogram bounds) is an error — one name, one schema.  All
+    an existing name with a different kind (or different histogram
+    bounds) is an error — one name, one schema.  All
     mutation goes through a single re-entrant lock shared with the metric
     objects, so concurrent updates from the driver thread and a status
     reader are safe.
@@ -257,17 +237,12 @@ class MetricsRegistry:
 
     def gauge(self, name: str,
               labels: Optional[Mapping[str, str]] = None,
-              mode: str = "last",
               help: Optional[str] = None) -> Gauge:
         """The gauge named ``(name, labels)``, created on first use."""
         if help is not None:
             self._help.setdefault(name, help)
-        gauge = self._get_or_create(name, labels, "gauge",
-                                    lambda: Gauge(self._lock, mode))
-        if gauge.mode != mode:
-            raise ValueError(f"gauge {name!r} already registered with merge "
-                             f"mode {gauge.mode!r}, not {mode!r}")
-        return gauge
+        return self._get_or_create(name, labels, "gauge",
+                                   lambda: Gauge(self._lock))
 
     def histogram(self, name: str,
                   labels: Optional[Mapping[str, str]] = None,
@@ -327,13 +302,13 @@ class MetricsRegistry:
 
         Metrics absent here are created with the other side's schema;
         matching metrics combine per their kind (counters/histograms add,
-        gauges follow their merge mode).
+        gauges keep the merged-in value).
         """
         for name, labels, metric in other.collect():
             if metric.kind == "counter":
                 self.counter(name, labels).merge(metric)
             elif metric.kind == "gauge":
-                self.gauge(name, labels, mode=metric.mode).merge(metric)
+                self.gauge(name, labels).merge(metric)
             else:
                 self.histogram(name, labels, bounds=metric.bounds).merge(metric)
         with self._lock:
@@ -359,7 +334,11 @@ class MetricsRegistry:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "MetricsRegistry":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        A gauge's ``"mode"`` entry, which snapshots and checkpoints carried
+        while gauges had merge modes, is ignored.
+        """
         registry = cls()
         for entry in data.get("metrics", ()):
             kind = str(entry["kind"])
@@ -368,8 +347,7 @@ class MetricsRegistry:
             if kind == "counter":
                 metric = registry.counter(name, labels)
             elif kind == "gauge":
-                metric = registry.gauge(name, labels,
-                                        mode=str(entry["mode"]))
+                metric = registry.gauge(name, labels)
             else:
                 metric = registry.histogram(name, labels,
                                             bounds=entry["bounds"])

@@ -2,11 +2,13 @@
 
 Covers the policy mechanics (freeze-on-alarm censoring, warm-up, clamped
 drift, scale bounds), the zero-drift reduction property — with
-``adaptive_max_drift = 0`` the adaptive policy must flag **exactly** the
-bins the fixed :func:`~repro.core.limits.control_limits` policy flags, for
-any stream and any chunking — and checkpoint restart parity of the
-adaptive state.
+``max_drift = 0`` the adaptive policy must flag **exactly** the bins the
+fixed :func:`~repro.core.limits.control_limits` policy flags, for any
+stream and any chunking — and checkpoint restart parity of the adaptive
+state.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -137,34 +139,19 @@ class TestConfigWiring:
         assert make_limits_policy(StreamingConfig()) is None
         assert StreamingSubspaceDetector(StreamingConfig()).limits_policy is None
 
-    def test_adaptive_config_builds_the_policy(self):
-        config = StreamingConfig(limits="adaptive", adaptive_warmup_bins=7,
-                                 adaptive_smoothing=0.3,
-                                 adaptive_max_drift=0.1,
-                                 adaptive_block_bins=9,
-                                 adaptive_freeze_factor=3.0)
+    def test_adaptive_config_builds_the_default_policy(self):
+        config = StreamingConfig(limits="adaptive", confidence=0.99)
         policy = make_limits_policy(config)
         assert isinstance(policy, AdaptiveControlLimits)
         detector = StreamingSubspaceDetector(config)
         assert isinstance(detector.limits_policy, AdaptiveControlLimits)
         state = detector.limits_policy.state_dict()["meta"]
-        assert state["warmup_bins"] == 7
-        assert state["smoothing"] == 0.3
-        assert state["max_drift"] == 0.1
-        assert state["block_bins"] == 9
-        assert state["freeze_factor"] == 3.0
+        assert state == AdaptiveControlLimits(
+            confidence=0.99).state_dict()["meta"]
 
-    @pytest.mark.parametrize("knobs", [
-        {"limits": "quantile"},
-        {"adaptive_warmup_bins": 0},
-        {"adaptive_smoothing": 0.0},
-        {"adaptive_max_drift": -1.0},
-        {"adaptive_block_bins": 0},
-        {"adaptive_freeze_factor": 1.0},
-    ])
-    def test_config_rejects_invalid_knobs(self, knobs):
+    def test_config_rejects_an_unknown_policy(self):
         with pytest.raises(ValueError):
-            StreamingConfig(**knobs)
+            StreamingConfig(limits="quantile")
 
     def test_replay_rejects_adaptive_limits(self, small_dataset):
         with pytest.raises(ValueError, match="fixed control-limit"):
@@ -172,7 +159,7 @@ class TestConfigWiring:
                                      StreamingConfig(limits="adaptive"))
 
     def test_config_roundtrips_through_dict(self):
-        config = StreamingConfig(limits="adaptive", adaptive_max_drift=0.2)
+        config = StreamingConfig(limits="adaptive", confidence=0.99)
         assert StreamingConfig.from_dict(config.to_dict()) == config
 
 
@@ -183,8 +170,23 @@ def _synthetic_stream(seed, n_bins, n_features):
     return latent @ mixing + rng.normal(scale=0.5, size=(n_bins, n_features)) + 30.0
 
 
+@contextmanager
+def _zero_drift(**knobs):
+    """Detectors built inside get an adaptive policy with ``max_drift = 0``."""
+    def policy(config):
+        if config.limits != "adaptive":
+            return None
+        return AdaptiveControlLimits(confidence=config.confidence,
+                                     max_drift=0.0, **knobs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.streaming.detector.make_limits_policy", policy)
+        yield
+
+
 class TestZeroDriftReduction:
-    """``adaptive_max_drift = 0`` must reduce to the fixed policy exactly."""
+    """``max_drift = 0`` must reduce the adaptive policy to the fixed one
+    exactly."""
 
     @_SETTINGS
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -195,9 +197,10 @@ class TestZeroDriftReduction:
         base = dict(min_train_bins=16, recalibrate_every_bins=8,
                     identify=False)
         fixed = StreamingSubspaceDetector(StreamingConfig(**base))
-        adaptive = StreamingSubspaceDetector(StreamingConfig(
-            limits="adaptive", adaptive_max_drift=0.0,
-            adaptive_warmup_bins=1, adaptive_block_bins=4, **base))
+        with _zero_drift(warmup_bins=1, block_bins=4):
+            adaptive = StreamingSubspaceDetector(
+                StreamingConfig(limits="adaptive", **base))
+        assert adaptive.limits_policy.state_dict()["meta"]["max_drift"] == 0
         for start in range(0, stream.shape[0], chunk):
             block = stream[start:start + chunk]
             result_fixed = fixed.process_chunk(block)
@@ -212,9 +215,10 @@ class TestZeroDriftReduction:
         base = dict(min_train_bins=128, recalibrate_every_bins=32)
         fixed = stream_detect(chunk_series(small_dataset.series, 48),
                               StreamingConfig(**base))
-        adaptive = stream_detect(
-            chunk_series(small_dataset.series, 48),
-            StreamingConfig(limits="adaptive", adaptive_max_drift=0.0, **base))
+        with _zero_drift():
+            adaptive = stream_detect(
+                chunk_series(small_dataset.series, 48),
+                StreamingConfig(limits="adaptive", **base))
         assert adaptive.events == fixed.events
         assert adaptive.detections == fixed.detections
 
@@ -230,9 +234,7 @@ class TestCheckpointRestartParity:
     @pytest.fixture(scope="class")
     def adaptive_config(self):
         return StreamingConfig(min_train_bins=128, recalibrate_every_bins=32,
-                               limits="adaptive", adaptive_warmup_bins=32,
-                               adaptive_block_bins=16,
-                               adaptive_max_drift=0.2)
+                               limits="adaptive")
 
     def test_mismatched_policy_state_is_rejected(self, small_dataset,
                                                  adaptive_config):

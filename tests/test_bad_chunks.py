@@ -12,15 +12,18 @@ behave alike: every policy case is written against a driver factory
 (``make``), and the ``...Hierarchy`` subclasses rerun each case through a
 2-PoP :class:`~repro.streaming.HierarchicalNetworkDetector`.  That skipped
 chunks leave the events untouched, flat, hierarchical and across a restart,
-is the ``dirty_day`` corpus of ``tests/test_driver_oracle.py``.
+is the ``dirty_day`` corpus of ``tests/test_driver_oracle.py``; a service
+restarted after a lost chunk is ``TestServiceRestartAfterLostChunk``.
 """
 
 import numpy as np
 import pytest
 
 from repro.flows.timeseries import TrafficType
+from repro.service import DetectionService, EventStore
 from repro.streaming import (HierarchicalNetworkDetector, StreamingConfig,
-                             StreamingNetworkDetector, TrafficChunk)
+                             StreamingNetworkDetector, TrafficChunk,
+                             chunk_series)
 
 P = 12
 BINS = 8
@@ -143,3 +146,63 @@ class TestConfig:
         config = StreamingConfig(on_bad_chunk="quarantine")
         assert StreamingConfig.from_dict(
             config.to_dict()).on_bad_chunk == "quarantine"
+
+
+class TestServiceRestartAfterLostChunk:
+    """Six 48-bin chunks, the third (or the third and fourth) NaN-poisoned
+    and quarantined; the service stops after a bad chunk or one chunk
+    later, and restarts on the full chunk list.  It resumes after the last
+    accepted chunk and drops the re-sent bad chunks uncounted, so the
+    restarted run ends with the uninterrupted run's counts and event
+    table."""
+
+    CHUNK = 48
+
+    def _chunks(self, small_dataset, lost):
+        chunks = list(chunk_series(
+            small_dataset.series.window(0, 6 * self.CHUNK), self.CHUNK))
+        for index in lost:
+            clean = chunks[index]
+            matrices = {t: m.copy() for t, m in clean.matrices.items()}
+            matrices[TrafficType.BYTES][self.CHUNK // 2, 0] = np.nan
+            chunks[index] = TrafficChunk(start_bin=clean.start_bin,
+                                         matrices=matrices)
+        return chunks
+
+    def _run(self, chunks, directory, stop_after=None):
+        directory.mkdir(exist_ok=True)
+        service = DetectionService(
+            StreamingConfig(min_train_bins=96, recalibrate_every_bins=48,
+                            on_bad_chunk="quarantine"),
+            store=EventStore(directory / "events.sqlite"),
+            checkpoint_dir=directory / "ckpt")
+
+        def feed():
+            for index, chunk in enumerate(chunks, start=1):
+                if index == stop_after:
+                    service.request_stop()  # honoured once it is processed
+                yield chunk
+
+        result = service.run(feed())
+        digest = service.store.table_digest()
+        service.close()
+        return result, digest
+
+    @pytest.mark.parametrize("lost, stop_after",
+                             [((2,), 3), ((2,), 4), ((2, 3), 4)])
+    def test_restart_matches_the_uninterrupted_run(self, small_dataset,
+                                                   tmp_path, lost,
+                                                   stop_after):
+        chunks = self._chunks(small_dataset, lost)
+        reference, reference_digest = self._run(chunks, tmp_path / "ref")
+        first, _ = self._run(chunks, tmp_path / "cut", stop_after)
+        assert first.interrupted
+        restarted, digest = self._run(chunks, tmp_path / "cut")
+        expected, report = reference.report, restarted.report
+        assert reference.report.n_events > 0
+        assert (report.n_bins_processed, report.n_chunks_processed,
+                report.n_bad_chunks) == (expected.n_bins_processed,
+                                         expected.n_chunks_processed,
+                                         len(lost))
+        assert report.events == expected.events
+        assert digest == reference_digest

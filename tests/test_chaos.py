@@ -143,8 +143,12 @@ class TestAlertChannelDown:
             dead_letter_path=str(tmp_path / "dead.jsonl"))
         store = EventStore()
         detector = StreamingNetworkDetector(config)
-        detector.on_events = lambda events: dispatcher.dispatch_many(
-            store.add_events(events))
+
+        def handle(events):
+            for event in store.add_events(events):
+                dispatcher.dispatch(event)
+
+        detector.on_events = handle
         for chunk in chunk_series(dataset.series, CHUNK):
             detector.process_chunk(chunk)
         report = detector.finish()

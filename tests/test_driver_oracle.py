@@ -423,7 +423,9 @@ def drive_service_sigterm(case, oracle, tmp_path):
     """A real SIGTERM in-process, raised as the source is asked for the
     next chunk: that in-flight chunk finishes and a checkpoint is written.
     The restarted service is handed the full stream and positions the
-    source itself."""
+    source itself: a ``ChunkedSeriesSource`` at the fixed chunkings, the
+    chunk list where no source cuts the same chunks or re-sends the dirty
+    corpus's glitches."""
     service = _service(case, tmp_path)
     service.install_signal_handlers()
     result = service.run(_faulting(
@@ -432,7 +434,8 @@ def drive_service_sigterm(case, oracle, tmp_path):
     assert result.interrupted
     service.close()
     size = source_chunk_size(case.chunking, case.series.n_bins)
-    _restart(case, tmp_path, case.chunks if size is None
+    _restart(case, tmp_path,
+             case.chunks if size is None or case.corpus == "dirty_day"
              else ChunkedSeriesSource(case.series, size),
              processed=len(case.chunks) // 2 + 1)
 
@@ -543,15 +546,6 @@ DRIVERS = {
 }
 
 
-#: After a chunk skipped under on_bad_chunk="quarantine", the service's run
-#: loop expects the next chunk at the skipped chunk's end, but resume_bin
-#: (bins processed) at its start.  So the dirty day's re-sent chunks are
-#: refused as misaligned mid-run; these cells wait for the fix.
-SERVICE_SKIP_POSITION = pytest.mark.xfail(
-    strict=True, raises=ValueError,
-    reason="DetectionService positions a skipped chunk inconsistently")
-
-
 def _cells():
     for corpus, runs in PLAN.items():
         for chunking, cadence in runs:
@@ -562,11 +556,8 @@ def _cells():
                     continue
                 if len(sizes) >= fewest and (
                         applies is None or applies(corpus, chunking)):
-                    known = (name.startswith("service")
-                             and corpus == "dirty_day")
                     yield pytest.param(
                         name, corpus, chunking, cadence,
-                        marks=[SERVICE_SKIP_POSITION] if known else [],
                         id=f"{name}-{corpus}-{chunking}-c{cadence}")
 
 

@@ -1,4 +1,4 @@
-"""Alert-delivery tests: retry/backoff/jitter, dedup, dead-letter, metrics."""
+"""Alert-delivery tests: retry/backoff/jitter, dead-letter, metrics."""
 
 import io
 import json
@@ -146,7 +146,7 @@ class TestRetryAndBackoff:
         sink = RecordingSink(fail_first=2)
         sleeper = SleepRecorder()
         dispatcher = AlertDispatcher([sink], max_attempts=3, sleep=sleeper)
-        assert dispatcher.dispatch(_event()) is True
+        dispatcher.dispatch(_event())
         assert len(sink.delivered) == 1
         assert len(sleeper.sleeps) == 2
         registry = dispatcher.registry
@@ -195,8 +195,7 @@ class TestDeadLetter:
                                      max_attempts=3, sleep=SleepRecorder(),
                                      dead_letter_path=str(dead))
         event = _event()
-        # Dispatched (the dedup window recorded it) but not delivered.
-        assert dispatcher.dispatch(event) is True
+        dispatcher.dispatch(event)
         assert sink.delivered == []
         assert sink.attempts == 3
         (entry,) = [json.loads(line)
@@ -259,48 +258,26 @@ class TestDeadLetter:
         dispatcher = AlertDispatcher([healthy, broken], max_attempts=2,
                                      sleep=SleepRecorder(),
                                      dead_letter_path=str(tmp_path / "d.jl"))
-        assert dispatcher.dispatch(_event()) is True
+        dispatcher.dispatch(_event())
         assert len(healthy.delivered) == 1
         assert broken.delivered == []
 
 
-class TestDedup:
-    def test_same_event_alerts_once(self):
+class TestNoDedupState:
+    def test_every_dispatch_delivers(self):
+        """The store decides which events alert; the dispatcher delivers
+        whatever it is handed, the same event twice included."""
         sink = RecordingSink()
         dispatcher = AlertDispatcher([sink])
         event = _event()
-        assert dispatcher.dispatch(event) is True
-        assert dispatcher.dispatch(event) is False
-        assert len(sink.delivered) == 1
-        assert dispatcher.registry.value("alerts_deduplicated") == 1
-
-    def test_window_evicts_least_recently_alerted(self):
-        sink = RecordingSink()
-        dispatcher = AlertDispatcher([sink], dedup_window=2)
-        first, second, third = (_event(start=s) for s in (1, 2, 3))
-        dispatcher.dispatch(first)
-        dispatcher.dispatch(second)
-        dispatcher.dispatch(third)  # evicts `first`
-        assert dispatcher.dispatch(first) is True
-        assert len(sink.delivered) == 4
-
-    def test_zero_window_disables_dedup(self):
-        sink = RecordingSink()
-        dispatcher = AlertDispatcher([sink], dedup_window=0)
-        event = _event()
-        assert dispatcher.dispatch(event) is True
-        assert dispatcher.dispatch(event) is True
+        dispatcher.dispatch(event)
+        dispatcher.dispatch(event)
         assert len(sink.delivered) == 2
-
-    def test_dispatch_many_counts_undeduplicated(self):
-        sink = RecordingSink()
-        dispatcher = AlertDispatcher([sink])
-        events = [_event(start=1), _event(start=2), _event(start=1)]
-        assert dispatcher.dispatch_many(events) == 2
+        assert dispatcher.registry.value("alerts_sent",
+                                         {"sink": "recording"}) == 2
 
     def test_close_closes_sinks(self):
         sink = RecordingSink()
         dispatcher = AlertDispatcher([sink])
-        dispatcher.flush()
         dispatcher.close()
         assert sink.closed is True

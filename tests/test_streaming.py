@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import SubspaceDetector, aggregate_detections, detect_network_anomalies
 from repro.core.events import Detection
-from repro.core.identification import identify_spe_flows
+from repro.core.identification import MAX_IDENTIFIED_FLOWS, identify_spe_flows
 from repro.core.pca import EigenflowDecomposition
 from repro.datasets import (DatasetConfig, generate_abilene_dataset,
                             synthetic_chunk_stream)
@@ -313,7 +313,7 @@ class TestStreamingEdgeCases:
                 continue
             flows = identify_spe_flows(residual[detection.bin_index],
                                        snapshot.limits.spe,
-                                       detector.config.max_identified_flows)
+                                       MAX_IDENTIFIED_FLOWS)
             assert detection.od_flows == tuple(flows)
 
     def test_heavy_forgetting_saturates_effective_samples(self):

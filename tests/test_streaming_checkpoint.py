@@ -8,7 +8,9 @@ format itself: files and manifests, old manifests, errors, lineage and the
 generation chain.
 """
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -74,15 +76,20 @@ class TestCheckpointRoundtrip:
             self, small_dataset, live_config, tmp_path):
         # Manifests written before the column-shard count, the parallel
         # mode, shard mode's bus/poll knobs, the hierarchy's default PoP
-        # count and the moment-engine switch with its low-rank knobs left
-        # StreamingConfig still carry those keys; they restore the saved
-        # state bit for bit.
+        # count, the moment-engine switch with its low-rank knobs, the
+        # identification cap, the span-sampling seed and the adaptive
+        # policy's knobs left StreamingConfig still carry those keys; they
+        # restore the saved state bit for bit and the identical remaining
+        # events.
         path, manifest, detector = self._saved(small_dataset, live_config,
                                                tmp_path / "ckpt")
-        manifest["meta"]["config"].update(n_shards=1, parallel_mode="type",
-                                          bus_slots=8, poll_seconds=1.0,
-                                          n_pops=2, engine="exact",
-                                          rank_slack=8, drift_tolerance=1e-10)
+        manifest["meta"]["config"].update(
+            n_shards=1, parallel_mode="type", bus_slots=8, poll_seconds=1.0,
+            n_pops=2, engine="exact", rank_slack=8, drift_tolerance=1e-10,
+            max_identified_flows=16, telemetry_seed=0,
+            adaptive_warmup_bins=64, adaptive_smoothing=0.25,
+            adaptive_max_drift=0.05, adaptive_block_bins=32,
+            adaptive_freeze_factor=4.0)
         (path / MANIFEST_FILENAME).write_text(json.dumps(manifest))
 
         restored = load_checkpoint(path)
@@ -92,6 +99,20 @@ class TestCheckpointRoundtrip:
         assert sorted(ours["arrays"]) == sorted(theirs["arrays"])
         for name, array in theirs["arrays"].items():
             np.testing.assert_array_equal(ours["arrays"][name], array)
+        for chunk in _chunks(small_dataset)[6:]:
+            restored.process_chunk(chunk)
+            detector.process_chunk(chunk)
+        assert restored.finish().events == detector.finish().events
+
+    def test_manifest_without_a_position_resumes_at_bins_processed(
+            self, small_dataset, live_config, tmp_path):
+        # Manifests written before the stream position was checkpointed
+        # resume after the bins processed.
+        path, manifest, _ = self._saved(small_dataset, live_config,
+                                        tmp_path / "ckpt", n_chunks=3)
+        assert manifest["meta"].pop("position") == [3 * CHUNK, 3 * CHUNK, 0]
+        (path / MANIFEST_FILENAME).write_text(json.dumps(manifest))
+        assert load_checkpoint(path).resume_bin == 3 * CHUNK
 
     def test_sharded_engine_kind_is_rejected(
             self, small_dataset, live_config, tmp_path):
@@ -117,21 +138,35 @@ class TestCheckpointRoundtrip:
             load_checkpoint(path)
 
 
-class TestRetiredConfigFields:
-    """The moment-engine switch and the removed low-rank engine's two knobs
-    are gone from the config but stay readable in old manifests."""
+#: Retired config fields with a value an old manifest may carry.
+RETIRED = [("engine", "lowrank"), ("rank_slack", 8),
+           ("drift_tolerance", 1e-10), ("max_identified_flows", 3),
+           ("telemetry_seed", 9), ("adaptive_warmup_bins", 7),
+           ("adaptive_smoothing", 0.3), ("adaptive_max_drift", 0.0),
+           ("adaptive_block_bins", 9), ("adaptive_freeze_factor", 3.0)]
 
-    @pytest.mark.parametrize("field,value", [("engine", "lowrank"),
-                                             ("rank_slack", 8),
-                                             ("drift_tolerance", 1e-10)])
+
+class TestRetiredConfigFields:
+    """The moment-engine switch, the removed low-rank engine's two knobs
+    and seven knobs no caller set are gone from the config but stay
+    readable in old manifests."""
+
+    def test_config_has_fifteen_fields(self):
+        assert len(StreamingConfig().to_dict()) == 15
+
+    def test_docstring_documents_exactly_the_fields(self):
+        block = StreamingConfig.__doc__.split("----------\n", 1)[1]
+        documented = re.findall(r"^    (\w+):$", block, flags=re.MULTILINE)
+        assert documented == [f.name for f in dataclasses.fields(
+            StreamingConfig)]
+
+    @pytest.mark.parametrize("field,value", RETIRED)
     def test_from_dict_drops_the_retired_field(self, field, value):
         config = StreamingConfig(min_train_bins=64, forgetting=0.99)
         data = dict(config.to_dict(), **{field: value})
         assert StreamingConfig.from_dict(data) == config
 
-    @pytest.mark.parametrize("field,value", [("engine", "exact"),
-                                             ("rank_slack", 8),
-                                             ("drift_tolerance", 1e-10)])
+    @pytest.mark.parametrize("field,value", RETIRED)
     def test_retired_field_is_no_longer_an_option(self, field, value):
         assert field not in StreamingConfig().to_dict()
         with pytest.raises(TypeError, match=field):

@@ -1,4 +1,5 @@
-"""Hierarchy bookkeeping: argument validation and leaf quarantine state.
+"""Hierarchy bookkeeping: argument validation, leaf quarantine state and
+how often the per-PoP moments are merged.
 
 That a hierarchical run emits the flat run's events (any routing, a
 quarantined and reintegrated leaf, a silent leaf, a checkpoint restored
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.flows.timeseries import TrafficType
+from repro.streaming import hierarchy
 from repro.streaming import (HierarchicalNetworkDetector, StreamingConfig,
                              TrafficChunk, chunk_series)
 
@@ -83,3 +85,27 @@ class TestLeafQuarantine:
         assert registry.value("leaf_reintegrations") == 1
         assert registry.value("quarantined_leaves") == 0.0
         assert registry.value("hierarchy_coverage") == 1.0
+
+
+class TestMergeCadence:
+    def test_merges_follow_recalibrations_and_saves_not_chunks(
+            self, small_dataset, monkeypatch):
+        """The per-chunk reads (bins seen, rank, sample count) are sums
+        over the PoPs, so the moment fold runs once per recalibration and
+        save, not once per chunk."""
+        merges = []
+        merge = hierarchy.merge_online_pca
+        monkeypatch.setattr(hierarchy, "merge_online_pca",
+                            lambda a, b: merges.append(1) or merge(a, b))
+        config = StreamingConfig(min_train_bins=128, recalibrate_every_bins=96,
+                                 telemetry=True)
+        detector = HierarchicalNetworkDetector(config, n_pops=2)
+        chunks = list(chunk_series(small_dataset.series, 16))
+        for chunk in chunks:
+            detector.process_chunk(chunk)
+        recalibrations = sum(metric.value for metric in detector.telemetry
+                             .registry.labeled("recalibrations").values())
+        assert 0 < len(merges) == recalibrations < len(chunks)
+        detector.state_dict()
+        n_types = len(small_dataset.series.traffic_types)
+        assert recalibrations < len(merges) <= recalibrations + n_types

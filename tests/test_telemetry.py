@@ -3,8 +3,9 @@
 The registry's merge is the cross-process fold the distributed drivers
 rely on, so it gets the same algebraic treatment as the moment algebra in
 ``test_streaming_properties.py``: seeded randomized registries, merged in
-every order/grouping, must agree bit-for-bit for the order-independent
-metric kinds (counters, histograms, ``sum``/``max``/``min`` gauges).
+every order/grouping, must agree bit-for-bit: in any grouping for every
+kind, and in any order for the order-independent kinds (counters and
+histograms; a gauge keeps the side merged in last).
 """
 
 import json
@@ -37,8 +38,9 @@ def _dyadic(rng, low, high):
     return float(rng.integers(low * 8, high * 8)) / 8.0
 
 
-def _random_registry(rng, gauge_mode="sum"):
-    """A registry with random counters/gauges/histograms over a name pool."""
+def _random_registry(rng, gauges=True):
+    """A registry with random counters/gauges/histograms over a name pool
+    (*gauges* off: counters and histograms only)."""
     registry = MetricsRegistry()
     for _ in range(int(rng.integers(1, 12))):
         name = str(rng.choice(_NAMES))
@@ -46,9 +48,8 @@ def _random_registry(rng, gauge_mode="sum"):
         kind = int(rng.integers(3))
         if kind == 0:
             registry.counter("c_" + name, labels).inc(_dyadic(rng, 0, 9))
-        elif kind == 1:
-            registry.gauge("g_" + name, labels, mode=gauge_mode).set(
-                _dyadic(rng, -5, 5))
+        elif kind == 1 and gauges:
+            registry.gauge("g_" + name, labels).set(_dyadic(rng, -5, 5))
         else:
             histogram = registry.histogram("h_" + name, labels)
             for _ in range(int(rng.integers(1, 20))):
@@ -83,30 +84,39 @@ class TestRegistryBasics:
         registry.counter("x")
         with pytest.raises(ValueError):
             registry.gauge("x")
-        registry.gauge("g", mode="sum")
-        with pytest.raises(ValueError):
-            registry.gauge("g", mode="max")
         registry.histogram("h", bounds=(1.0, 2.0))
         with pytest.raises(ValueError):
             registry.histogram("h", bounds=(1.0, 3.0))
 
-    def test_gauge_merge_modes(self):
-        for mode, expected in (("sum", 7.0), ("max", 5.0), ("min", 2.0),
-                               ("last", 5.0)):
-            a = MetricsRegistry()
-            b = MetricsRegistry()
-            a.gauge("g", mode=mode).set(2.0)
-            b.gauge("g", mode=mode).set(5.0)
-            a.merge(b)
-            assert a.value("g") == expected, mode
+    def test_gauge_merge_keeps_the_merged_in_value(self):
+        a = MetricsRegistry()
+        b = MetricsRegistry()
+        a.gauge("g").set(2.0)
+        b.gauge("g").set(5.0)
+        a.merge(b)
+        assert a.value("g") == 5.0
+        assert a.get("g").n_sets == 2
 
     def test_unset_gauge_contributes_nothing(self):
         a = MetricsRegistry()
         b = MetricsRegistry()
-        a.gauge("g", mode="min").set(4.0)
-        b.gauge("g", mode="min")  # registered but never set
+        a.gauge("g").set(4.0)
+        b.gauge("g")  # registered but never set
         a.merge(b)
         assert a.value("g") == 4.0
+
+    def test_gauge_mode_entries_still_load(self):
+        """Snapshots and checkpoints written while gauges had merge modes
+        carry a ``"mode"`` entry per gauge; it is ignored."""
+        registry = MetricsRegistry()
+        registry.gauge("lag", {"pop": "0"}).set(3.0)
+        data = json.loads(json.dumps(registry.to_dict()))
+        for entry in data["metrics"]:
+            assert "mode" not in entry
+            entry["mode"] = "max"
+        loaded = MetricsRegistry.from_dict(data)
+        assert loaded.value("lag", {"pop": "0"}) == 3.0
+        assert loaded.to_dict() == registry.to_dict()
 
     def test_histogram_buckets_and_quantile(self):
         registry = MetricsRegistry()
@@ -131,24 +141,22 @@ class TestRegistryBasics:
 class TestMergeAlgebra:
     """merge() is associative, and commutative for order-free kinds."""
 
-    @pytest.mark.parametrize("gauge_mode", ["sum", "max", "min"])
-    def test_merge_is_commutative(self, gauge_mode):
+    def test_merge_is_commutative(self):
         rng = np.random.default_rng(20040702)
         for _ in range(N_TRIALS):
-            a = _random_registry(rng, gauge_mode)
-            b = _random_registry(rng, gauge_mode)
+            a = _random_registry(rng, gauges=False)
+            b = _random_registry(rng, gauges=False)
             ab = _copy(a).merge(_copy(b)).to_dict()
             ba = _copy(b).merge(_copy(a)).to_dict()
             assert sorted(ab["metrics"], key=str) \
                 == sorted(ba["metrics"], key=str)
 
-    @pytest.mark.parametrize("gauge_mode", ["sum", "max", "min", "last"])
-    def test_merge_is_associative(self, gauge_mode):
+    def test_merge_is_associative(self):
         rng = np.random.default_rng(20040703)
         for _ in range(N_TRIALS):
-            a = _random_registry(rng, gauge_mode)
-            b = _random_registry(rng, gauge_mode)
-            c = _random_registry(rng, gauge_mode)
+            a = _random_registry(rng)
+            b = _random_registry(rng)
+            c = _random_registry(rng)
             left = _copy(a).merge(_copy(b)).merge(_copy(c)).to_dict()
             right = _copy(a).merge(_copy(b).merge(_copy(c))).to_dict()
             assert left == right
@@ -286,7 +294,6 @@ class TestTelemetryFacade:
     class _Config:
         telemetry = True
         telemetry_sample_rate = 0.5
-        telemetry_seed = 9
         telemetry_trace_path = ""
         telemetry_snapshot_path = ""
         telemetry_snapshot_every_chunks = 4
