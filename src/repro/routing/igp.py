@@ -2,21 +2,56 @@
 
 The paper's measurement pipeline uses ISIS (plus BGP) tables to resolve the
 egress PoP of each flow.  Here we compute shortest paths over the backbone
-router graph with Dijkstra (via networkx), expose next-hop / path / egress
-queries, and support link and PoP failures so that the OUTAGE and
-INGRESS-SHIFT anomalies can reroute traffic the way a real IGP would.
+router graph with Dijkstra (a binary heap over a plain adjacency map),
+expose next-hop / path / egress queries, and support link and PoP failures
+so that the OUTAGE and INGRESS-SHIFT anomalies can reroute traffic the way a
+real IGP would.
 """
 
 from __future__ import annotations
 
+import heapq
+from itertools import count
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from repro.topology.network import Network
 from repro.utils.validation import require
 
 __all__ = ["IGPRouting"]
+
+#: ``{router: {neighbour: igp_weight}}`` over the routers and links in service.
+Adjacency = Dict[str, Dict[str, float]]
+
+
+def _dijkstra(adjacency: Adjacency, source: str
+              ) -> Tuple[Dict[str, float], Dict[str, List[str]]]:
+    """Distances and shortest paths from *source*, both keyed in settle order.
+
+    Ties break the way a heap of ``(distance, push counter, node)`` keys
+    does: a node's path extends its predecessor at the last strict
+    improvement of its tentative distance.
+    """
+    distances: Dict[str, float] = {}
+    paths: Dict[str, List[str]] = {}
+    tentative: Dict[str, float] = {source: 0}
+    candidates: Dict[str, List[str]] = {source: [source]}
+    pushes = count()
+    fringe = [(0, next(pushes), source)]
+    while fringe:
+        distance, _, node = heapq.heappop(fringe)
+        if node in distances:
+            continue
+        distances[node] = distance
+        paths[node] = candidates[node]
+        for neighbour, weight in adjacency[node].items():
+            reach = distance + weight
+            if neighbour in distances or (neighbour in tentative
+                                          and reach >= tentative[neighbour]):
+                continue
+            tentative[neighbour] = reach
+            candidates[neighbour] = paths[node] + [neighbour]
+            heapq.heappush(fringe, (reach, next(pushes), neighbour))
+    return distances, paths
 
 
 class IGPRouting:
@@ -32,6 +67,9 @@ class IGPRouting:
     failed_pops:
         PoPs whose routers are entirely removed from the graph (a full PoP
         outage, like the LOSA maintenance event in the paper).
+
+    Of several parallel links between the same two routers, the last one in
+    ``network.links`` sets the metric.
     """
 
     def __init__(
@@ -45,30 +83,23 @@ class IGPRouting:
         self._failed_pops: FrozenSet[str] = frozenset(failed_pops)
         for pop in self._failed_pops:
             network.pop(pop)  # validates existence
-        self._graph = self._build_graph()
+        self._adjacency = self._build_adjacency()
         self._paths: Dict[str, Dict[str, List[str]]] = {}
         self._distances: Dict[str, Dict[str, float]] = {}
-        self._compute_paths()
+        for source in self._adjacency:
+            self._distances[source], self._paths[source] = _dijkstra(self._adjacency, source)
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    def _build_graph(self) -> nx.DiGraph:
-        graph = self._network.router_graph()
-        for pop in self._failed_pops:
-            for router in self._network.routers_at(pop):
-                if graph.has_node(router.name):
-                    graph.remove_node(router.name)
-        for src, dst in self._failed_links:
-            if graph.has_edge(src, dst):
-                graph.remove_edge(src, dst)
-        return graph
-
-    def _compute_paths(self) -> None:
-        for source in self._graph.nodes:
-            lengths, paths = nx.single_source_dijkstra(self._graph, source, weight="weight")
-            self._paths[source] = paths
-            self._distances[source] = lengths
+    def _build_adjacency(self) -> Adjacency:
+        adjacency: Adjacency = {router.name: {} for router in self._network.routers
+                                if router.pop not in self._failed_pops}
+        for link in self._network.links:
+            if (link.source in adjacency and link.target in adjacency
+                    and (link.source, link.target) not in self._failed_links):
+                adjacency[link.source][link.target] = link.igp_weight
+        return adjacency
 
     # ------------------------------------------------------------------ #
     # queries
@@ -181,6 +212,6 @@ class IGPRouting:
             return None
         routers = self._network.routers_at(pop_name)
         for router in routers:
-            if self._graph.has_node(router.name):
+            if router.name in self._adjacency:
                 return router.name
         return None

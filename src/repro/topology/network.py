@@ -14,9 +14,7 @@ paper relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from repro.utils.validation import require
 
@@ -266,38 +264,19 @@ class Network:
     # ------------------------------------------------------------------ #
     # graph views
     # ------------------------------------------------------------------ #
-    def router_graph(self) -> nx.DiGraph:
-        """Directed router-level graph weighted by IGP metric."""
-        graph = nx.DiGraph(name=f"{self.name}-routers")
-        for router in self._routers.values():
-            graph.add_node(router.name, pop=router.pop)
-        for link in self._links:
-            graph.add_edge(link.source, link.target,
-                           weight=link.igp_weight, capacity=link.capacity_bps)
-        return graph
-
-    def pop_graph(self) -> nx.DiGraph:
-        """Directed PoP-level graph (minimum IGP weight across parallel links)."""
-        graph = nx.DiGraph(name=f"{self.name}-pops")
-        for pop in self._pops.values():
-            graph.add_node(pop.name, city=pop.city, region_weight=pop.region_weight)
+    def is_connected(self) -> bool:
+        """Whether every PoP can reach every other PoP over backbone links."""
+        forward: Dict[str, Set[str]] = {name: set() for name in self._pops}
+        reverse: Dict[str, Set[str]] = {name: set() for name in self._pops}
         for link in self._links:
             src_pop = self._routers[link.source].pop
             dst_pop = self._routers[link.target].pop
-            if src_pop == dst_pop:
-                continue
-            existing = graph.get_edge_data(src_pop, dst_pop)
-            if existing is None or link.igp_weight < existing["weight"]:
-                graph.add_edge(src_pop, dst_pop, weight=link.igp_weight,
-                               capacity=link.capacity_bps)
-        return graph
-
-    def is_connected(self) -> bool:
-        """Whether every PoP can reach every other PoP over backbone links."""
-        graph = self.pop_graph()
-        if graph.number_of_nodes() < self.n_pops:
-            return False
-        return nx.is_strongly_connected(graph) if graph.number_of_edges() else False
+            if src_pop != dst_pop:
+                forward[src_pop].add(dst_pop)
+                reverse[dst_pop].add(src_pop)
+        start = next(iter(self._pops))
+        return all(len(_reachable(adjacency, start)) == self.n_pops
+                   for adjacency in (forward, reverse))
 
     # ------------------------------------------------------------------ #
     # internals
@@ -316,3 +295,15 @@ class Network:
 
     def __iter__(self) -> Iterator[PoP]:
         return iter(self._pops.values())
+
+
+def _reachable(adjacency: Dict[str, Set[str]], start: str) -> Set[str]:
+    """The nodes reachable from *start* (itself included)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for neighbour in adjacency[stack.pop()]:
+            if neighbour not in seen:
+                seen.add(neighbour)
+                stack.append(neighbour)
+    return seen

@@ -82,6 +82,25 @@ class TestIGPRouting:
         assert igp.next_hop("A", "C") == "B"
         assert igp.next_hop("A", "A") is None
 
+    def test_one_way_link_routes_one_way(self):
+        net = (TopologyBuilder("one-way")
+               .add_pop("A").add_pop("B")
+               .connect("A", "B", weight=5, bidirectional=False)
+               .build())
+        igp = IGPRouting(net)
+        assert igp.router_path("A", "B") == ["A-rtr", "B-rtr"]
+        assert igp.distance("A", "B") == 5.0
+        assert not igp.is_reachable("B", "A")
+        assert igp.router_path("B", "A") == []
+        assert igp.distance("B", "A") == float("inf")
+
+    @pytest.mark.parametrize("weights, metric", [((10, 3), 3.0), ((3, 10), 10.0)])
+    def test_last_parallel_link_sets_metric(self, weights, metric):
+        builder = TopologyBuilder("parallel").add_pop("A").add_pop("B")
+        for weight in weights:
+            builder.connect("A", "B", weight=weight)
+        assert IGPRouting(builder.build()).distance("A", "B") == metric
+
 
 class TestBGPTable:
     def test_from_customers_covers_customer_prefixes(self):

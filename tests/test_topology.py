@@ -1,6 +1,5 @@
 """Unit tests for the topology substrate (network model, Abilene, builder)."""
 
-import networkx as nx
 import pytest
 
 from repro.topology import (
@@ -9,6 +8,7 @@ from repro.topology import (
     Link,
     Network,
     PoP,
+    Router,
     TopologyBuilder,
     abilene_topology,
     random_backbone,
@@ -88,20 +88,24 @@ class TestNetwork:
         with pytest.raises(KeyError):
             net.add_customer(Customer(name="x", pop="Z"))
 
-    def test_pop_graph_weights_use_min_parallel(self):
-        net = (TopologyBuilder("p")
-               .add_pop("A").add_pop("B")
-               .connect("A", "B", weight=10)
-               .connect("A", "B", weight=3)
-               .build())
-        graph = net.pop_graph()
-        assert graph["A"]["B"]["weight"] == 3
+    def test_is_connected_needs_both_directions(self):
+        one_way = (TopologyBuilder("one-way")
+                   .add_pop("A").add_pop("B").add_pop("C")
+                   .connect("A", "B").connect("B", "C")
+                   .connect("C", "A", bidirectional=False)
+                   .build())
+        assert one_way.is_connected()
+        dead_end = (TopologyBuilder("dead-end")
+                    .add_pop("A").add_pop("B").add_pop("C")
+                    .connect("A", "B").connect("B", "C", bidirectional=False)
+                    .build())
+        assert not dead_end.is_connected()
 
-    def test_router_graph_is_directed(self):
-        graph = self._toy().router_graph()
-        assert isinstance(graph, nx.DiGraph)
-        assert graph.has_edge("A-rtr", "B-rtr")
-        assert graph.has_edge("B-rtr", "A-rtr")
+    def test_is_connected_ignores_intra_pop_links(self):
+        net = Network(pops=[PoP("A"), PoP("B")],
+                      routers=[Router("a1", "A"), Router("a2", "A"), Router("b1", "B")],
+                      links=[Link("a1", "a2"), Link("a2", "a1")])
+        assert not net.is_connected()
 
 
 class TestAbilene:

@@ -93,6 +93,8 @@ def main(argv=None) -> int:
 
     failed = 0
     for path in tracked_files():
+        if not path.is_file():
+            continue  # deleted in the working tree, not yet staged
         data = path.read_bytes()
         if args.fix:
             repaired = fix(data)
